@@ -46,7 +46,6 @@ __all__ = [
     "ReplayConfig",
     "simulate_grid_pass",
     # vector backend + stack-distance profiles
-    "NUMPY_AVAILABLE",
     "VECTOR_POLICIES",
     "VectorFleet",
     "VectorReplay",
@@ -105,7 +104,6 @@ _V2_HOMES: dict[str, tuple[str, str | None]] = {
     "InternedStream": (_REPLAY, "InternedStream"),
     "ReplayConfig": (_REPLAY, "ReplayConfig"),
     "simulate_grid_pass": (_REPLAY, "simulate_grid_pass"),
-    "NUMPY_AVAILABLE": (_REPLAY, "NUMPY_AVAILABLE"),
     "VECTOR_POLICIES": (_REPLAY, "VECTOR_POLICIES"),
     "VectorFleet": (_REPLAY, "VectorFleet"),
     "VectorReplay": (_REPLAY, "VectorReplay"),

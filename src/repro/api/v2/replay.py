@@ -27,12 +27,7 @@ from ...engine.tracesim import (
     effective_partition,
     simulate_trace,
 )
-from ...engine.vector import (
-    NUMPY_AVAILABLE,
-    VECTOR_POLICIES,
-    VectorFleet,
-    VectorReplay,
-)
+from ...engine.vector import VECTOR_POLICIES, VectorFleet, VectorReplay
 
 __all__ = [
     # single-trace replay
@@ -47,7 +42,6 @@ __all__ = [
     "ReplayConfig",
     "simulate_grid_pass",
     # vector backend + stack-distance profiles
-    "NUMPY_AVAILABLE",
     "VECTOR_POLICIES",
     "VectorFleet",
     "VectorReplay",

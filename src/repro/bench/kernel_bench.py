@@ -14,8 +14,8 @@ events per workload.
 On top of the throughput axis, the bench re-runs the paper's timed rows
 end to end — fig10 (response time, online arrivals), fig11
 (reconstruction time, batch), and the rack-aware cluster scenario — and
-asserts they are **bit-identical** across pooling on/off, sanitize
-on/off, and obs on/off.  All row quantities are virtual time or traffic,
+asserts they are **bit-identical** across sanitize on/off and obs
+on/off.  All row quantities are virtual time or traffic,
 so the committed ``benchmarks/BENCH_kernel.json`` baseline is
 machine-independent and CI compares rows bit-exactly; the speedup axis
 gates like the replay bench (≥ the floor, and no >10% regression against
@@ -55,14 +55,12 @@ class ReferenceEnvironment(Environment):
     Semantics are bit-identical to :class:`~repro.sim.kernel.Environment`
     — same ``(when, counter)`` total order, same values — but every
     schedule is a ``heappush``, every dispatch a ``heappop`` through the
-    stepwise ``run`` loop, and no event object is ever recycled.  The
-    property suite drives random workloads through both kernels and
-    asserts identical traces, so this class is the executable definition
-    of "the fast lane and the pools change nothing".
+    stepwise ``run`` loop, and no event object is ever recycled (its own
+    ``_schedule`` keeps the pools off).  The property suite drives random
+    workloads through both kernels and asserts identical traces, so this
+    class is the executable definition of "the fast lane and the pools
+    change nothing".
     """
-
-    def __init__(self, initial_time: float = 0.0):
-        super().__init__(initial_time, pooling=False)
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._counter = counter = self._counter + 1
@@ -272,7 +270,7 @@ def _measure_throughput(rounds: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end rows: the timed figures re-run across the kernel's A/B axes.
+# End-to-end rows: the timed figures re-run with sanitize and obs on.
 # ---------------------------------------------------------------------------
 
 
@@ -317,19 +315,12 @@ def _identity_rows(n_errors: int, seed: int) -> tuple[dict, dict]:
     )
     rows: dict[str, dict] = {}
     checks = {
-        "rows_pooling_invariant": True,
         "rows_sanitize_invariant": True,
         "rows_obs_invariant": True,
     }
     for name, config in _row_configs(n_errors).items():
         base = _row(run_reconstruction(layout, errors, config))
         rows[name] = base
-        unpooled = _row(
-            run_reconstruction(
-                layout, errors, replace(config, kernel_pooling=False)
-            )
-        )
-        checks["rows_pooling_invariant"] &= unpooled == base
         sanitized = _row(
             run_reconstruction(layout, errors, replace(config, sanitize=True))
         )

@@ -35,7 +35,6 @@ from typing import Sequence
 
 from ..cache.registry import available_policies
 from ..engine import (
-    NUMPY_AVAILABLE,
     PlanCache,
     SampledStackDistanceProfile,
     StackDistanceProfile,
@@ -84,19 +83,17 @@ class ReplayGroupResult:
     batched_s: float
     per_point_s: float
     rows_identical: bool
-    #: vector-backend axis (None when numpy is unavailable)
-    numpy_s: float | None = None
-    numpy_rows_identical: bool | None = None
+    #: vector-backend axis
+    numpy_s: float
+    numpy_rows_identical: bool
 
     @property
     def speedup(self) -> float:
         return self.per_point_s / self.batched_s if self.batched_s > 0 else 0.0
 
     @property
-    def numpy_speedup(self) -> float | None:
-        if self.numpy_s is None or self.numpy_s <= 0:
-            return None
-        return self.per_point_s / self.numpy_s
+    def numpy_speedup(self) -> float:
+        return self.per_point_s / self.numpy_s if self.numpy_s > 0 else 0.0
 
 
 def _best_of(fn, rounds: int) -> float:
@@ -155,10 +152,7 @@ def _bench_group(
 
     reference = per_point()
     identical = batched() == reference
-    numpy_s = numpy_identical = None
-    if NUMPY_AVAILABLE:
-        numpy_identical = vectored() == reference
-        numpy_s = _best_of(vectored, rounds)
+    numpy_identical = vectored() == reference
     return ReplayGroupResult(
         code=backend.code_label,
         p=p,
@@ -166,7 +160,7 @@ def _bench_group(
         batched_s=_best_of(batched, rounds),
         per_point_s=_best_of(per_point, rounds),
         rows_identical=identical,
-        numpy_s=numpy_s,
+        numpy_s=_best_of(vectored, rounds),
         numpy_rows_identical=numpy_identical,
     )
 
@@ -311,11 +305,7 @@ def run_replay_bench(
     ]
     batched_s = sum(g.batched_s for g in groups)
     per_point_s = sum(g.per_point_s for g in groups)
-    numpy_s = (
-        sum(g.numpy_s for g in groups)
-        if groups and all(g.numpy_s is not None for g in groups)
-        else None
-    )
+    numpy_s = sum(g.numpy_s for g in groups)
     payload: dict = {
         "schema": 1,
         "kind": "replay-microbench",
@@ -336,9 +326,7 @@ def run_replay_bench(
             "per_point_s": per_point_s,
             "speedup": per_point_s / batched_s if batched_s > 0 else 0.0,
             "numpy_s": numpy_s,
-            "numpy_speedup": (
-                per_point_s / numpy_s if numpy_s else None
-            ),
+            "numpy_speedup": per_point_s / numpy_s if numpy_s > 0 else 0.0,
         },
     }
     if verify_all_policies:
@@ -424,11 +412,6 @@ def compare_to_baseline(
 
 
 def _format_summary(payload: dict) -> str:
-    def _np_cols(numpy_s, numpy_speedup):
-        if numpy_s is None:
-            return f"{'-':>9} {'-':>8}"
-        return f"{numpy_s:>8.2f}s {numpy_speedup:>7.2f}x"
-
     lines = [
         f"{'group':>16} {'configs':>7} {'batched':>9} {'per-point':>9} "
         f"{'speedup':>8} {'numpy':>9} {'np-spdup':>8}"
@@ -438,16 +421,15 @@ def _format_summary(payload: dict) -> str:
             f"{g['code'] + ' p=' + str(g['p']):>16} {g['n_configs']:>7} "
             f"{g['batched_s']:>8.2f}s {g['per_point_s']:>8.2f}s "
             f"{g['speedup']:>7.2f}x "
-            + _np_cols(g.get("numpy_s"), g.get("numpy_speedup"))
+            f"{g['numpy_s']:>8.2f}s {g['numpy_speedup']:>7.2f}x"
             + ("" if g["rows_identical"] else "  ROWS DIVERGED")
-            + ("" if g.get("numpy_rows_identical") is not False
-               else "  NUMPY ROWS DIVERGED")
+            + ("" if g["numpy_rows_identical"] else "  NUMPY ROWS DIVERGED")
         )
     agg = payload["aggregate"]
     lines.append(
         f"{'aggregate':>16} {'':>7} {agg['batched_s']:>8.2f}s "
         f"{agg['per_point_s']:>8.2f}s {agg['speedup']:>7.2f}x "
-        + _np_cols(agg.get("numpy_s"), agg.get("numpy_speedup"))
+        f"{agg['numpy_s']:>8.2f}s {agg['numpy_speedup']:>7.2f}x"
     )
     shards = payload.get("shards")
     if shards is not None:

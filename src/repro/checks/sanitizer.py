@@ -237,14 +237,8 @@ class SanitizedEnvironment(Environment):
     contract from :mod:`repro.sim.kernel`.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        strict: bool = True,
-        *,
-        pooling: bool = True,
-    ):
-        super().__init__(initial_time, pooling=pooling)
+    def __init__(self, initial_time: float = 0.0, strict: bool = True):
+        super().__init__(initial_time)
         self.strict = strict
         self.violations: list[str] = []
         self.events_checked = 0

@@ -43,12 +43,7 @@ from .registry import available_backends, make_backend, register_backend
 from .stackdist import SampledStackDistanceProfile, StackDistanceProfile
 from .stream import InternedStream, ReplayConfig, intern_stream, simulate_grid_pass
 from .timed import run_timed_replay
-from .vector import (
-    NUMPY_AVAILABLE,
-    VECTOR_POLICIES,
-    VectorFleet,
-    VectorReplay,
-)
+from .vector import VECTOR_POLICIES, VectorFleet, VectorReplay
 from .tracesim import PlanCache, TraceSimResult, effective_partition, simulate_trace
 
 __all__ = [
@@ -77,7 +72,6 @@ __all__ = [
     "simulate_grid_pass",
     "StackDistanceProfile",
     "SampledStackDistanceProfile",
-    "NUMPY_AVAILABLE",
     "VECTOR_POLICIES",
     "VectorFleet",
     "VectorReplay",

@@ -30,6 +30,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "FenwickTree",
     "reuse_distances",
@@ -192,14 +194,10 @@ def _splitmix64(x: int) -> int:
 def _numpy_candidates(stream: Sequence[int], threshold: int):
     """Vectorized hash prefilter: (hashes, blocks) with hash < threshold.
 
-    Returns ``None`` when numpy is unavailable or the stream is not a
-    clean non-negative integer array — callers fall back to the pure
-    python per-request loop (identical hashes either way).
+    Returns ``None`` when the stream is not a clean non-negative integer
+    array — callers fall back to the pure python per-request loop
+    (identical hashes either way).
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is baked into the env
-        return None
     try:
         arr = np.asarray(stream, dtype=np.uint64)
     except (TypeError, ValueError, OverflowError):

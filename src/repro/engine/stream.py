@@ -35,6 +35,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
 from ..cache.base import CachePolicy
 from ..cache.registry import make_policy
 from ..obs import runtime as _obs
@@ -49,11 +51,6 @@ __all__ = [
     "ReplayConfig",
     "simulate_grid_pass",
 ]
-
-try:  # numpy is optional: every caller falls back to the python path.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into the env
-    _np = None
 
 #: Registry policies whose decisions ignore the priority hint entirely —
 #: their substream replay can drop the hint argument from the hot call.
@@ -208,7 +205,6 @@ def _intern_numpy(
     codes — any injective assignment yields the same output — so the
     registry may be shared across calls via ``state``.
     """
-    np = _np
     if state is None:
         state = ({}, [], {})
     unit_ids, unit_list, plan_memo = state
@@ -304,18 +300,13 @@ def intern_stream(
         )
         decode_span.__enter__()
 
-    if _np is None:
-        keys, bids, hints, offsets = _intern_python(
-            sorted(events), plan_cache.get, model.sequence
-        )
-    else:
-        per_hint = _INTERN_STATE.setdefault(plan_cache, {})
-        state = per_hint.get(hint)
-        if state is None:
-            state = per_hint[hint] = ({}, [], {})
-        keys, bids, hints, offsets = _intern_numpy(
-            sorted(events), plan_cache.get, model.sequence, state
-        )
+    per_hint = _INTERN_STATE.setdefault(plan_cache, {})
+    state = per_hint.get(hint)
+    if state is None:
+        state = per_hint[hint] = ({}, [], {})
+    keys, bids, hints, offsets = _intern_numpy(
+        sorted(events), plan_cache.get, model.sequence, state
+    )
     stream = InternedStream(backend, hint, keys, bids, hints, offsets)
     if obs_on:
         decode_span["events"] = stream.n_events
@@ -790,10 +781,6 @@ def simulate_grid_pass(
         )
     if not 0.0 < shards_rate <= 1.0:
         raise ValueError(f"shards_rate must be in (0, 1], got {shards_rate}")
-    if replay_backend == "numpy" and _np is None:
-        raise RuntimeError(
-            "replay_backend='numpy' requires numpy, which is not installed"
-        )
     if stackdist == "sampled":
         profile_factory = lambda bids: SampledStackDistanceProfile(
             bids, rate=shards_rate

@@ -66,9 +66,9 @@ def run_timed_replay(
         # cycle at module import time.
         from ..checks.sanitizer import SanitizedEnvironment
 
-        env: Environment = SanitizedEnvironment(pooling=config.kernel_pooling)
+        env: Environment = SanitizedEnvironment()
     else:
-        env = Environment(pooling=config.kernel_pooling)
+        env = Environment()
     geometry = backend.make_geometry(
         chunk_size=config.chunk_bytes, stripes=config.array_stripes
     )

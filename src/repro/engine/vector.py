@@ -76,19 +76,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..obs import runtime as _obs
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stream import InternedStream
 
-try:  # gate, don't require: callers fall back to the python backend.
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is baked into the env
-    np = None
-
-__all__ = ["NUMPY_AVAILABLE", "VECTOR_POLICIES", "VectorFleet", "VectorReplay"]
-
-NUMPY_AVAILABLE = np is not None
+__all__ = ["VECTOR_POLICIES", "VectorFleet", "VectorReplay"]
 
 #: Registry policies with an exact vector kernel.
 VECTOR_POLICIES = frozenset({"fifo", "lru", "lfu", "arc", "fbf"})

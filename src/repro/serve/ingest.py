@@ -26,12 +26,13 @@ _REQUIRED_FIELDS = ("time", "stripe", "disk", "start_row", "length")
 def parse_record(line: str | bytes) -> PartialStripeError:
     """One JSON-lines wire record -> a validated event.
 
-    Raises ``ValueError`` for anything malformed: bad JSON, a non-object
-    payload, missing fields, or field values the event type rejects.
+    Raises ``ValueError`` for anything malformed: bad JSON or UTF-8,
+    nesting too deep to decode, a non-object payload, missing fields, or
+    field values the event type rejects.
     """
     try:
         payload: Any = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"invalid JSON record: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"record must be a JSON object, got {type(payload).__name__}")
@@ -46,7 +47,7 @@ def parse_record(line: str | bytes) -> PartialStripeError:
             start_row=int(payload["start_row"]),
             length=int(payload["length"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # null, text, 1e400
         raise ValueError(f"invalid record values: {exc}") from None
 
 
@@ -93,11 +94,15 @@ class BoundedIngestQueue:
         try:
             event = parse_record(line)
         except ValueError:
-            self.invalid += 1
-            if _obs.ENABLED:
-                _obs.counter("serve.ingest.invalid").inc()
+            self.reject()
             return False
         return self.push(event)
+
+    def reject(self) -> None:
+        """Count one malformed wire line (``serve.ingest.invalid``)."""
+        self.invalid += 1
+        if _obs.ENABLED:
+            _obs.counter("serve.ingest.invalid").inc()
 
     def drain(self, max_items: int) -> list[PartialStripeError]:
         """Pop up to ``max_items`` events in FIFO order."""

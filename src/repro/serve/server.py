@@ -42,6 +42,27 @@ __all__ = ["AdvisorServer"]
 _IDLE_TICK = 0.2  # seconds between shutdown checks while the queue is idle
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next wire line (``b""`` at EOF), or None for an over-long one.
+
+    A line past the reader's limit is skipped through its newline, so it
+    is one bad line — counted once by the caller — and the connection
+    keeps its framing.  (``readline()`` raises instead, and after it the
+    tail of the line would read as a line of its own.)
+    """
+    skipping = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # EOF: the unterminated tail, b"" if none
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)  # already buffered
+            skipping = True
+            continue
+        return None if skipping else line
+
+
 class AdvisorServer:
     """The serve loop: sockets and signals outside, one advisor inside."""
 
@@ -184,7 +205,10 @@ class AdvisorServer:
         protocol = asyncio.StreamReaderProtocol(reader)
         await loop.connect_read_pipe(lambda: protocol, sys.stdin)
         while not self._stop.is_set():
-            line = await reader.readline()
+            line = await _read_line(reader)
+            if line is None:
+                self.queue.reject()
+                continue
             if not line:
                 self.request_shutdown()  # EOF on the pipe ends the stream
                 break
@@ -198,7 +222,10 @@ class AdvisorServer:
     ) -> None:
         try:
             while not reader.at_eof():
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    self.queue.reject()
+                    continue
                 if not line:
                     break
                 line = line.strip()
@@ -224,13 +251,13 @@ class AdvisorServer:
     @staticmethod
     def _peek_op(line: bytes) -> dict | None:
         """A query line is a JSON object carrying ``"op"``; anything else
-        (including malformed JSON) is treated as an ingest record so the
-        invalid counter — not a protocol error — absorbs garbage."""
+        (including malformed JSON or text) is treated as an ingest record
+        so the invalid counter — not a protocol error — absorbs garbage."""
         if b'"op"' not in line:
             return None
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # bad JSON, bad UTF-8, too deep
             return None
         if isinstance(payload, dict) and "op" in payload:
             return payload
@@ -258,7 +285,7 @@ class AdvisorServer:
                 self.request_shutdown()
                 return {"ok": True, "op": op}
             return {"ok": False, "error": f"unknown op: {op!r}"}
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # bad fields
             return {"ok": False, "op": op, "error": str(exc)}
 
     def stats(self) -> dict:

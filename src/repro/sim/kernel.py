@@ -55,6 +55,8 @@ from ..obs import runtime as _obs
 #: fully recycled.
 _POOL_MAX = 1024
 
+_INF = float("inf")
+
 __all__ = [
     "Environment",
     "Event",
@@ -118,9 +120,9 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self.triggered = True
         self._value = value
-        # Grant/hand-off chains call this once per event; when pooling is
-        # on the environment is guaranteed to run the stock scheduler
-        # (see Environment.__init__), so the fast-lane append is inlined.
+        # Grant/hand-off chains call this once per event; pooling is on
+        # exactly when the environment runs the stock scheduler (see
+        # Environment.__init__), so the fast-lane append is inlined.
         env = self.env
         if env._pooling:
             env._counter = counter = env._counter + 1
@@ -167,8 +169,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN, which would corrupt heap order
+            raise ValueError(f"delay must be >= 0, got {delay}")
         super().__init__(env)
         self.delay = delay
         self.triggered = True
@@ -640,23 +642,20 @@ class Environment:
     heap head reproduces the exact global ``(when, counter)`` order
     without a single heap operation for same-time chains.
 
-    ``pooling=True`` (the default) additionally recycles retired plain
-    :class:`Event`/:class:`Timeout` objects whose only live reference is
-    the dispatch loop; pass ``pooling=False`` to force fresh allocations
-    (bit-identical results either way — the A/B switch the kernel bench
-    and the property suite exercise).
+    Retired plain :class:`Event`/:class:`Timeout` objects whose only live
+    reference is the dispatch loop are recycled through free-list pools.
+    Pooling is on exactly when the environment runs the stock
+    :meth:`_schedule`; results are bit-identical either way.
     """
 
-    def __init__(self, initial_time: float = 0.0, *, pooling: bool = True):
+    def __init__(self, initial_time: float = 0.0):
         self.now = float(initial_time)
         self._heap: list[tuple[float, int, Event]] = []
         self._fast: deque[tuple[int, Event]] = deque()
         self._counter = 0
         # The pooled timeout() path schedules inline (no _schedule call),
         # so a subclass with a custom scheduler must never see a pool hit.
-        if pooling and type(self)._schedule is not Environment._schedule:
-            pooling = False
-        self._pooling = bool(pooling)
+        self._pooling = type(self)._schedule is Environment._schedule
         self._event_pool: list[Event] = []
         self._timeout_pool: list[Timeout] = []
 
@@ -727,8 +726,8 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
+            if not delay >= 0:
+                raise ValueError(f"delay must be >= 0, got {delay}")
             t = pool.pop()
             t.callbacks = []
             t._value = value
@@ -739,7 +738,7 @@ class Environment:
             t.delay = delay
             # Scheduling inlined: this is the single hottest call in a
             # timed sweep, and __init__ guarantees pool hits never bypass
-            # a subclass's custom _schedule (pooling is forced off).
+            # a subclass's custom _schedule (its pools stay empty).
             self._counter = counter = self._counter + 1
             if delay == 0.0:
                 self._fast.append((counter, t))
@@ -800,220 +799,134 @@ class Environment:
         """Time of the next event, or ``inf`` if the queue is empty."""
         if self._fast:
             return self.now
-        return self._heap[0][0] if self._heap else float("inf")
+        return self._heap[0][0] if self._heap else _INF
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.
 
         * ``until=None`` — run to quiescence.
-        * ``until=<number>`` — run events strictly before the deadline, then
+        * ``until=<number>`` — run events at or before the deadline, then
           set ``now`` to the deadline.
         * ``until=<Event>`` — run until that event is *processed* and return
           its value (raising if it failed).
 
-        The dispatch loops are inlined (no ``self.step()`` call) with the
-        heap and ``heappop`` held in locals: the loop body runs once per
-        simulated event, and on large DES sweeps the attribute lookups
-        plus the extra frame were a measurable slice of wall time (see
-        ``benchmarks/test_microbench.py::test_kernel_stepwise_throughput``
-        for the stepwise baseline it is measured against).  Popped
-        ``(when, counter, event)`` entries are unpacked once, in place —
-        the common timeout path never re-wraps or re-examines them.
-        Subclasses that override :meth:`step` (e.g. the checks module's
-        ``SanitizedEnvironment``) keep the stepwise dispatch so their
-        per-event hooks still run.  With observability enabled
-        (:mod:`repro.obs`), dispatch goes through :meth:`_run_observed`
-        — a stepwise loop wrapped in a ``kernel.run`` span that counts
-        dispatched events; the obs check itself is a single module-flag
-        test per ``run()`` call, so the disabled path stays on the
-        inlined loop untouched.
+        ``until`` is first normalized to a ``(target, deadline)`` pair —
+        the deadline is infinite for ``None`` and for an Event target — so
+        one dispatch loop serves all three forms: the heap branch pops
+        only while its head is due by the deadline, and the loop stops
+        right after it dispatches the target.  The loop is inlined (no
+        ``self.step()`` call) with the queues and ``heappop`` held in
+        locals: it runs once per simulated event, and on large DES sweeps
+        the attribute lookups plus the extra frame were a measurable slice
+        of wall time (``benchmarks/test_microbench.py::
+        test_kernel_stepwise_throughput`` is the stepwise baseline).
+        Subclasses that override :meth:`step` (the checks module's
+        ``SanitizedEnvironment``, the kernel bench's reference kernel)
+        take :meth:`_run_stepwise` instead so their per-event hooks run.
+
+        With observability enabled (:mod:`repro.obs`) the same loop runs;
+        the ``kernel.run`` span and the ``kernel.*`` run metrics are
+        published once, afterwards.  The dispatched count is derived, not
+        counted: every schedule bumps ``_counter`` and appends to exactly
+        one queue, so the events dispatched are the schedules minus the
+        growth of the two queues.
         """
-        if _obs.ENABLED:
-            return self._run_observed(until)
-        if type(self).step is not Environment.step:
-            return self._run_stepwise(until)
-        heap = self._heap
-        fast = self._fast
-        pop = heappop
-        take_fast = fast.popleft
-        pooling = self._pooling
-        tpool = self._timeout_pool
-        epool = self._event_pool
-        refs = getrefcount
-        length = len  # LOAD_FAST beats LOAD_GLOBAL twice per event
-        pool_max = _POOL_MAX
-        # ``now`` mirrors ``self.now`` in a local; only heap pops move it.
-        # The recycle check is inlined (not `_retire`) because a bound
-        # method call per event costs as much as the heap op it saves;
-        # seen from here the sole-reference count is 2 (the loop local
-        # plus ``getrefcount``'s argument).
-        now = self.now
+        target: Event | None = None
+        deadline = _INF
         if isinstance(until, Event):
             target = until
-            while not target.processed:
-                if fast and (
-                    not heap or heap[0][0] > now or heap[0][1] > fast[0][0]
-                ):
-                    event = take_fast()[1]
-                else:
-                    if not heap:
-                        raise SimulationError(
-                            "event queue drained before target event fired "
-                            "(deadlock?)"
-                        )
-                    when, _, event = pop(heap)
-                    self.now = now = when
-                # _process() inlined (as in the other two loops below):
-                # the method call per event is a measurable slice of a
-                # dispatch-bound sweep.  Semantics are identical.
-                cbs = event.callbacks
-                event.callbacks = None
-                event.processed = True
-                if cbs:
-                    if length(cbs) == 1:
-                        cbs[0](event)
+        elif until is not None:
+            deadline = float(until)
+            if not deadline >= self.now:  # also rejects NaN
+                raise ValueError(
+                    f"deadline {deadline} is not at or after now={self.now}"
+                )
+        heap = self._heap
+        fast = self._fast
+        observed = _obs.ENABLED
+        if observed:
+            span = _obs.span("kernel.run")
+            span.__enter__()
+            dispatched_before = self._counter - len(heap) - len(fast)
+        try:
+            if type(self).step is not Environment.step:
+                self._run_stepwise(target, deadline)
+            elif target is None or not target.processed:
+                pop = heappop
+                take_fast = fast.popleft
+                pooling = self._pooling
+                tpool = self._timeout_pool
+                epool = self._event_pool
+                refs = getrefcount
+                length = len  # LOAD_FAST beats LOAD_GLOBAL twice per event
+                pool_max = _POOL_MAX
+                # ``now`` mirrors ``self.now`` in a local; only heap pops
+                # move it.
+                now = self.now
+                while True:
+                    if fast and (
+                        not heap or heap[0][0] > now or heap[0][1] > fast[0][0]
+                    ):
+                        event = take_fast()[1]
+                    elif heap and heap[0][0] <= deadline:
+                        when, _, event = pop(heap)
+                        self.now = now = when
                     else:
-                        for cb in cbs:
-                            cb(event)
-                if pooling:
-                    cls = event.__class__
-                    if cls is Timeout:
-                        if length(tpool) < pool_max and refs(event) == 2:
-                            tpool.append(event)
-                    elif cls is Event:
-                        if length(epool) < pool_max and refs(event) == 2:
-                            epool.append(event)
-            if not target.ok:
-                raise target.value
-            return target.value
-        if until is None:
-            while fast or heap:
-                if fast and (
-                    not heap or heap[0][0] > now or heap[0][1] > fast[0][0]
-                ):
-                    event = take_fast()[1]
-                else:
-                    when, _, event = pop(heap)
-                    self.now = now = when
-                cbs = event.callbacks
-                event.callbacks = None
-                event.processed = True
-                if cbs:
-                    if length(cbs) == 1:
-                        cbs[0](event)
-                    else:
-                        for cb in cbs:
-                            cb(event)
-                if pooling:
-                    cls = event.__class__
-                    if cls is Timeout:
-                        if length(tpool) < pool_max and refs(event) == 2:
-                            tpool.append(event)
-                    elif cls is Event:
-                        if length(epool) < pool_max and refs(event) == 2:
-                            epool.append(event)
-            return None
-        deadline = float(until)
-        if deadline < now:
-            raise ValueError(f"deadline {deadline} is in the past (now={now})")
-        while True:
-            if fast and (
-                not heap or heap[0][0] > now or heap[0][1] > fast[0][0]
-            ):
-                event = take_fast()[1]
-            elif heap and heap[0][0] <= deadline:
-                when, _, event = pop(heap)
-                self.now = now = when
-            else:
-                break
-            cbs = event.callbacks
-            event.callbacks = None
-            event.processed = True
-            if cbs:
-                if len(cbs) == 1:
-                    cbs[0](event)
-                else:
-                    for cb in cbs:
-                        cb(event)
-            if pooling:
-                cls = event.__class__
-                if cls is Timeout:
-                    if length(tpool) < pool_max and refs(event) == 2:
-                        tpool.append(event)
-                elif cls is Event:
-                    if length(epool) < pool_max and refs(event) == 2:
-                        epool.append(event)
-        self.now = deadline
-        return None
-
-    def _run_observed(self, until: float | Event | None = None) -> Any:
-        """:meth:`run` with obs recording — same semantics, stepwise dispatch.
-
-        Dispatch stays ``self.step()`` so sanitizer/subclass hooks keep
-        running; the count is kept in a local and published once, after
-        the loop, together with the ``kernel.run`` span and the final
-        virtual clock.
-        """
-        dispatched = 0
-        with _obs.span("kernel.run") as sp:
-            try:
-                if isinstance(until, Event):
-                    target = until
-                    while not target.processed:
-                        if not self._heap and not self._fast:
-                            raise SimulationError(
-                                "event queue drained before target event fired "
-                                "(deadlock?)"
-                            )
-                        self.step()
-                        dispatched += 1
-                    if not target.ok:
-                        raise target.value
-                    return target.value
-                if until is None:
-                    while self._heap or self._fast:
-                        self.step()
-                        dispatched += 1
-                    return None
-                deadline = float(until)
-                if deadline < self.now:
-                    raise ValueError(
-                        f"deadline {deadline} is in the past (now={self.now})"
+                        break
+                    # _process() inlined: the method call per event is a
+                    # measurable slice of a dispatch-bound sweep.
+                    cbs = event.callbacks
+                    event.callbacks = None
+                    event.processed = True
+                    if cbs:
+                        if length(cbs) == 1:
+                            cbs[0](event)
+                        else:
+                            for cb in cbs:
+                                cb(event)
+                    if event is target:
+                        break
+                    # The recycle check is inlined (not `_retire`) because
+                    # a bound method call per event costs as much as the
+                    # heap op it saves; seen from here the sole-reference
+                    # count is 2 (the loop local plus ``getrefcount``'s
+                    # argument).
+                    if pooling:
+                        cls = event.__class__
+                        if cls is Timeout:
+                            if length(tpool) < pool_max and refs(event) == 2:
+                                tpool.append(event)
+                        elif cls is Event:
+                            if length(epool) < pool_max and refs(event) == 2:
+                                epool.append(event)
+            if target is not None:
+                if not target.processed:
+                    raise SimulationError(
+                        "event queue drained before target event fired "
+                        "(deadlock?)"
                     )
-                while self._fast or (
-                    self._heap and self._heap[0][0] <= deadline
-                ):
-                    self.step()
-                    dispatched += 1
+                if not target.ok:
+                    raise target.value
+                return target.value
+            if until is not None:
                 self.now = deadline
-                return None
-            finally:
-                sp["events"] = dispatched
+            return None
+        finally:
+            if observed:
+                dispatched = (
+                    self._counter - len(heap) - len(fast) - dispatched_before
+                )
+                span["events"] = dispatched
+                span.__exit__(None, None, None)
                 _obs.counter("kernel.runs").inc()
                 _obs.counter("kernel.events_dispatched").inc(dispatched)
                 _obs.gauge("kernel.virtual_time").set(self.now)
 
-    def _run_stepwise(self, until: float | Event | None = None) -> Any:
-        """:meth:`run` via ``self.step()`` — honours overridden dispatch."""
-        if isinstance(until, Event):
-            target = until
-            while not target.processed:
-                if not self._heap and not self._fast:
-                    raise SimulationError(
-                        "event queue drained before target event fired (deadlock?)"
-                    )
-                self.step()
-            if not target.ok:
-                raise target.value
-            return target.value
-        if until is None:
-            while self._heap or self._fast:
-                self.step()
-            return None
-        deadline = float(until)
-        if deadline < self.now:
-            raise ValueError(f"deadline {deadline} is in the past (now={self.now})")
-        while self._fast or (self._heap and self._heap[0][0] <= deadline):
+    def _run_stepwise(self, target: Event | None, deadline: float) -> None:
+        """:meth:`run`'s loop via ``self.step()`` — honours overridden dispatch."""
+        heap = self._heap
+        fast = self._fast
+        while (fast or (heap and heap[0][0] <= deadline)) and (
+            target is None or not target.processed
+        ):
             self.step()
-        self.now = deadline
-        return None

@@ -108,10 +108,6 @@ class SimConfig:
     #: record per-request response times in a histogram so the report can
     #: carry p99 (degraded-mode tail reporting); off by default.
     response_quantiles: bool = False
-    #: recycle retired Event/Timeout objects in the kernel's free-list
-    #: pools (DESIGN.md §16).  Results are bit-identical either way; the
-    #: switch exists so the kernel bench and tests can A/B the pools.
-    kernel_pooling: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.cache.lru import LRUCache
 from repro.engine import (
-    NUMPY_AVAILABLE,
     VECTOR_POLICIES,
     PlanCache,
     make_backend,
@@ -28,8 +27,6 @@ from repro.engine.stream import (
     _is_vector_eligible,
     _replay_vector_rows,
 )
-
-pytestmark = pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy required")
 
 BACKEND_SPECS = (
     ("tip", 5),
@@ -207,13 +204,6 @@ class TestValidation:
     def test_bad_rate(self, rate):
         with pytest.raises(ValueError, match="shards_rate"):
             self._pass(stackdist="sampled", shards_rate=rate)
-
-    def test_numpy_unavailable_raises(self, monkeypatch):
-        import repro.engine.stream as stream_mod
-
-        monkeypatch.setattr(stream_mod, "_np", None)
-        with pytest.raises(RuntimeError, match="numpy"):
-            self._pass(replay_backend="numpy")
 
 
 class TestFleetApi:

@@ -7,8 +7,11 @@ import json
 import os
 import signal
 
+import pytest
+
 from repro.obs import runtime
 from repro.serve import AdvisorServer, ServeConfig, SyntheticSource
+from repro.serve.server import _read_line
 
 
 def _config(**overrides) -> ServeConfig:
@@ -173,5 +176,63 @@ class TestWire:
             assert "advisor serves" in answer["error"]
             server.request_shutdown()
             await server.serve_forever()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "bad_line, refused, invalid",
+        [
+            (b'{"pad": "' + b"x" * (70 * 1024) + b'"}', False, 1),
+            # past one 256 KiB socket read: the tail arrives separately
+            (b'{"pad": "' + b"x" * (300 * 1024) + b'"}', False, 1),
+            (b'{"op": "advise", "p": null}', True, 0),
+            (b'{"op": "ping\xff"}', False, 1),
+            (b'{"op": ' + b"[" * 5000 + b"}", False, 1),
+            (b'{"time": 0, "stripe": 1e400, "disk": 0, "start_row": 0, "length": 1}',
+             False, 1),
+        ],
+        ids=["over-64KiB", "over-256KiB", "null-field", "non-utf8", "too-deep", "inf-int"],
+    )
+    def test_bad_line_fails_closed_and_connection_survives(
+        self, bad_line, refused, invalid
+    ):
+        async def scenario():
+            server = AdvisorServer(_config(), metrics_port=None)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(bad_line + b'\n{"op": "ping"}\n')
+            await writer.drain()
+            if refused:
+                answer = json.loads(await asyncio.wait_for(reader.readline(), 10))
+                assert answer["ok"] is False
+            pong = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            assert pong == {"ok": True, "op": "ping"}
+            writer.close()
+            await writer.wait_closed()
+            assert server.stats()["invalid"] == invalid
+            assert server.stats()["accepted"] == 0
+            server.request_shutdown()
+            await server.serve_forever()
+
+        asyncio.run(scenario())
+
+    def test_over_long_line_is_one_bad_line(self):
+        """Both overrun shapes skip exactly through the newline."""
+
+        async def scenario():
+            reader = asyncio.StreamReader(limit=16)
+            # separator already buffered past the limit
+            reader.feed_data(b"y" * 40 + b"\nok\n")
+            assert await _read_line(reader) is None
+            assert await _read_line(reader) == b"ok\n"
+            # separator not yet buffered: the tail arrives later
+            reader.feed_data(b"z" * 40)
+            pending = asyncio.ensure_future(_read_line(reader))
+            await asyncio.sleep(0)
+            reader.feed_data(b"z" * 40 + b"\nlast")
+            reader.feed_eof()
+            assert await pending is None
+            assert await _read_line(reader) == b"last"
+            assert await _read_line(reader) == b""
 
         asyncio.run(scenario())

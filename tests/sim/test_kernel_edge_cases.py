@@ -132,3 +132,45 @@ class TestRunSemantics:
         assert log == [0]
         env.run(until=10)
         assert log == [0, 1, 2, 3]
+
+
+class TestNaNTimes:
+    """NaN passes a ``< 0`` check; it must be rejected, not scheduled."""
+
+    def test_nan_delay_rejected(self):
+        env = Environment()
+        with pytest.raises(ValueError, match="delay"):
+            env.timeout(float("nan"))
+
+    def test_nan_delay_rejected_on_pool_hit(self):
+        env = Environment()
+        env.timeout(1.0)
+        env.run()
+        assert env._timeout_pool  # the next timeout() is a pool hit
+        with pytest.raises(ValueError, match="delay"):
+            env.timeout(float("nan"))
+
+    def test_nan_delay_cannot_reorder_the_clock(self):
+        env = Environment()
+        resumed = []
+
+        def sleeper(delay):
+            yield env.timeout(delay)
+            resumed.append(env.now)
+
+        for delay in (2.0, float("nan"), 1.0, 3.0):
+            env.process(sleeper(delay))
+        with pytest.raises(ValueError, match="delay"):
+            env.run()
+        env.run()
+        assert resumed == [1.0, 2.0, 3.0]
+
+    def test_nan_deadline_rejected(self):
+        env = Environment()
+        fired = []
+        env.timeout(1.0).callbacks.append(lambda ev: fired.append(env.now))
+        with pytest.raises(ValueError, match="deadline"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0
+        env.run()
+        assert fired == [1.0]

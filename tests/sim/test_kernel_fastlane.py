@@ -5,13 +5,13 @@ Covers the PR-9 hot-path contract (DESIGN.md §16) from both directions:
 * unit tests pin the mechanics — FIFO fast-lane ordering interleaved
   with the heap, ``schedule_now`` / ``timeout(0)`` equivalence, pool
   recycling gated on the refcount guard, exact-class-only pooling, and
-  the subclass auto-guard that forces pooling off when ``_schedule`` is
-  overridden;
+  the rule that pooling is on exactly when ``_schedule`` is the stock
+  one;
 * a hypothesis differential test drives random process/resource/store/
   container workloads through the pooled fast-lane kernel and the
-  frozen pre-PR stepwise reference (plus the sanitized, unpooled and
-  obs-enabled variants) and requires bit-identical traces, clocks and
-  delivered values.
+  frozen stepwise reference (plus the sanitized variant), under every
+  ``until`` form and with obs on and off, and requires bit-identical
+  traces, clocks, delivered values and dispatch counts.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.sim.kernel import (
     Environment,
     Event,
     Resource,
+    SimulationError,
     Store,
     Timeout,
 )
@@ -163,7 +164,11 @@ class TestPools:
         assert all(type(e) is Event for e in env._event_pool)
 
     def test_pooling_off_keeps_pools_empty(self):
-        env = Environment(pooling=False)
+        class Custom(Environment):
+            def _schedule(self, event, delay=0.0):
+                super()._schedule(event, delay)
+
+        env = Custom()
         env.timeout(1.0)
         env.schedule_now()
         env.run()
@@ -196,17 +201,21 @@ class TestPools:
         assert Environment()._pooling is True
         # Overriding step() alone keeps pooling: the stepwise loop still
         # routes scheduling through the stock _schedule.
-        assert ReferenceEnvironment()._pooling is False  # explicit opt-out
+        assert ReferenceEnvironment()._pooling is False  # heap-only _schedule
         assert SanitizedEnvironment()._pooling is True
 
 
 # ---------------------------------------------------------------------------
 # Differential property test: pooled fast-lane kernel vs the frozen
-# pre-PR stepwise reference, across every A/B axis.
+# stepwise reference, under every ``until`` form and with obs on and off.
 # ---------------------------------------------------------------------------
 
 # Exact binary fractions only: clocks must compare bit-identically.
 _DELAYS = (0.0, 0.25, 0.5, 1.0, 2.5)
+
+#: ``run(until=...)`` forms: quiescence, a deadline, an Event target that
+#: may fire (the last worker's process), and one that never fires.
+UNTIL_FORMS = ("none", "deadline", "process", "never")
 
 
 @st.composite
@@ -233,7 +242,19 @@ def workload_specs(draw):
     return specs
 
 
-def _execute(env: Environment, specs) -> tuple:
+class _CountingReference(ReferenceEnvironment):
+    """The reference kernel, counting its dispatches one step at a time."""
+
+    def __init__(self):
+        super().__init__()
+        self.dispatched = 0
+
+    def step(self) -> None:
+        super().step()
+        self.dispatched += 1
+
+
+def _execute(env: Environment, specs, until: str) -> tuple:
     resource = Resource(env, capacity=2)
     store = Store(env)
     tank = Container(env, capacity=6.0, init=2.0)
@@ -263,31 +284,86 @@ def _execute(env: Environment, specs) -> tuple:
                 yield tank.get(1.0)
                 value = 1.0
             trace.append((pid, idx, kind, env.now, value))
+        return pid
 
-    for pid, actions in enumerate(specs):
-        env.process(worker(pid, actions))
-    # A deadline (not quiescence) bounds blocked get()s: a consumer with
-    # no matching producer parks forever, which is a legal workload here.
-    env.run(until=64.0)
-    return tuple(trace), env.now, env._counter
+    procs = [env.process(worker(pid, actions)) for pid, actions in enumerate(specs)]
+    # A consumer with no matching producer parks forever, which is a legal
+    # workload: quiescence and deadlines simply leave it parked, while an
+    # Event target it blocks must surface as a deadlock.
+    bound = {
+        "none": None,
+        "deadline": 64.0,
+        "process": procs[-1],
+        "never": env.event(),
+    }[until]
+    try:
+        outcome = ("returned", env.run(bound))
+    except SimulationError as exc:
+        outcome = ("raised", str(exc))
+    return tuple(trace), outcome, env.now, env._counter
+
+
+def _reference(specs, until: str) -> tuple[tuple, int]:
+    ref = _CountingReference()
+    expected = _execute(ref, specs, until)
+    if until == "never":
+        assert expected[1][0] == "raised"
+    return expected, ref.dispatched
 
 
 @given(workload_specs())
 @settings(max_examples=60, deadline=None)
 def test_pooled_fast_lane_matches_stepwise_reference(specs):
-    expected = _execute(ReferenceEnvironment(), specs)
-    assert _execute(Environment(), specs) == expected
-    assert _execute(Environment(pooling=False), specs) == expected
-    assert _execute(SanitizedEnvironment(), specs) == expected
+    for until in UNTIL_FORMS:
+        expected, _ = _reference(specs, until)
+        assert _execute(Environment(), specs, until) == expected
+        assert _execute(SanitizedEnvironment(), specs, until) == expected
 
 
 @given(workload_specs())
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_obs_enabled_dispatch_is_bit_identical(specs):
-    expected = _execute(ReferenceEnvironment(), specs)
-    runtime.enable(fresh=True)
+    for until in UNTIL_FORMS:
+        expected, dispatched = _reference(specs, until)
+        for make_env in (Environment, SanitizedEnvironment):
+            registry = runtime.enable(fresh=True)
+            try:
+                observed = _execute(make_env(), specs, until)
+            finally:
+                runtime.disable()
+            assert observed == expected
+            counters = registry.snapshot()["counters"]
+            assert counters["kernel.events_dispatched"] == dispatched
+            assert counters["kernel.runs"] == 1
+
+
+def test_observed_run_never_calls_step():
+    """Obs on, a plain Environment still takes the inlined loop."""
+    env = Environment()
+    stock_step = env.step
+    steps = []
+
+    def counting_step():
+        steps.append(env.now)
+        stock_step()
+
+    # Instance-level: the class-level override check still sees the
+    # stock step(), so only a stepwise loop would reach this wrapper.
+    env.step = counting_step
+
+    def proc():
+        for _ in range(5):
+            yield env.timeout(1.0)
+            yield env.schedule_now()
+
+    env.process(proc())
+    registry = runtime.enable(fresh=True)
     try:
-        observed = _execute(Environment(), specs)
+        env.run()
     finally:
         runtime.disable()
-    assert observed == expected
+    assert steps == []
+    snap = registry.snapshot()
+    assert snap["counters"]["kernel.events_dispatched"] == env._counter == 12
+    assert snap["gauges"]["kernel.virtual_time"] == env.now == 5.0
+    assert "kernel.run" in snap["spans"]
