@@ -128,10 +128,6 @@ class EngineConfig:
     #: replay hit-ratio cells of one (code, p, scheme, trace) group in a
     #: single interned-stream pass (bit-for-bit equal to per-point rows).
     batch: bool = True
-    #: grid-pass replay backend for batched hit-ratio groups: "python"
-    #: (golden per-request loop) or "numpy" (vector fleet, bit-identical
-    #: rows; the CLI's --replay-backend).
-    replay_backend: str = "python"
     #: plain-LRU stack-distance profile flavor: "exact" (Fenwick) or
     #: "sampled" (SHARDS at shards_rate — approximate rows, bounded
     #: error, O(sample) memory; cached under a distinct salt).
@@ -144,11 +140,6 @@ class EngineConfig:
                 raise ValueError(f"workers must be an int >= 0 or 'auto', got {self.workers!r}")
         elif self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.replay_backend not in ("python", "numpy"):
-            raise ValueError(
-                "replay_backend must be 'python' or 'numpy', "
-                f"got {self.replay_backend!r}"
-            )
         if self.stackdist not in ("exact", "sampled"):
             raise ValueError(
                 f"stackdist must be 'exact' or 'sampled', got {self.stackdist!r}"
@@ -161,9 +152,9 @@ class EngineConfig:
     def replay_salt(self, base: str = ENGINE_CACHE_VERSION) -> str:
         """Result-cache salt: sampled rows never share exact rows' keys.
 
-        The numpy backend is bit-identical, so it keeps the base salt;
-        SHARDS estimates are rate-dependent approximations and get their
-        own namespace.
+        Every exact replay path is bit-identical, so exact rows keep the
+        base salt; SHARDS estimates are rate-dependent approximations and
+        get their own namespace.
         """
         if self.stackdist == "sampled":
             return f"{base}+shards:{self.shards_rate!r}"
@@ -189,8 +180,10 @@ class EnginePool:
     invocation — fine for one-shot sweeps, wasteful for a long-lived
     caller (the serve layer) that replays a grid every few seconds:
     process spawn plus per-process memo warm-up would dominate.  An
-    ``EnginePool`` keeps the executor (and therefore the workers' warm
-    ``_BACKENDS``/``_PLANS``/``_STREAMS`` memos) alive across calls::
+    ``EnginePool`` keeps the executor, and therefore the workers' warm
+    memos, alive across calls: every backend, plus the failure trace,
+    ``PlanCache`` and interned stream of the last sweep group each
+    worker computed (a caller that replays one group keeps it warm)::
 
         with EnginePool(workers=4) as pool:
             for window in windows:
@@ -364,11 +357,25 @@ class EngineResult:
 # the serial fallback they reproduce the old nested-loop sharing (one
 # backend/event-trace/PlanCache per sweep group).  All cached objects are
 # deterministic functions of their keys, so sharing never changes results.
+# Grids visit their cells group by group, so the trace, plan and stream
+# memos hold only the latest group: a finished group's plans and interned
+# stream are freed when the next group starts.  Backends are a few KB
+# each and stay, so a group never loses the "fbf" backend its failure
+# trace comes from.
 
 _BACKENDS: dict = {}
 _EVENTS: dict = {}
 _PLANS: dict = {}
 _STREAMS: dict = {}
+
+
+def _latest(memo: dict, key: tuple, build: Callable[[], object]):
+    """``memo[key]``, built on a miss after dropping every other entry."""
+    value = memo.get(key)
+    if value is None:
+        memo.clear()
+        value = memo[key] = build()
+    return value
 
 
 def _reset_worker_state() -> None:
@@ -392,37 +399,35 @@ def _backend_for(code: str, p: int, scheme_mode: str):
 def _events_for(code: str, p: int, n_errors: int, seed: int):
     # Failure traces depend only on the code, never on the scheme mode,
     # so the memo key omits it (any scheme's backend generates them).
-    key = (code, p, n_errors, seed)
-    events = _EVENTS.get(key)
-    if events is None:
-        events = _EVENTS[key] = _backend_for(code, p, "fbf").generate_events(
-            n_errors, seed
-        )
-    return events
+    return _latest(
+        _EVENTS,
+        (code, p, n_errors, seed),
+        lambda: _backend_for(code, p, "fbf").generate_events(n_errors, seed),
+    )
 
 
 def _plans_for(code: str, p: int, scheme_mode: str):
     from ..engine.tracesim import PlanCache
 
-    key = (code, p, scheme_mode)
-    plans = _PLANS.get(key)
-    if plans is None:
-        plans = _PLANS[key] = PlanCache(_backend_for(code, p, scheme_mode))
-    return plans
+    return _latest(
+        _PLANS,
+        (code, p, scheme_mode),
+        lambda: PlanCache(_backend_for(code, p, scheme_mode)),
+    )
 
 
 def _stream_for(code: str, p: int, scheme_mode: str, n_errors: int, seed: int):
     from ..engine.stream import intern_stream
 
-    key = (code, p, scheme_mode, n_errors, seed)
-    stream = _STREAMS.get(key)
-    if stream is None:
-        stream = _STREAMS[key] = intern_stream(
+    return _latest(
+        _STREAMS,
+        (code, p, scheme_mode, n_errors, seed),
+        lambda: intern_stream(
             _backend_for(code, p, scheme_mode),
             _events_for(code, p, n_errors, seed),
             plan_cache=_plans_for(code, p, scheme_mode),
-        )
-    return stream
+        ),
+    )
 
 
 def _blocks_for(cache_mb: float, chunk_size: str) -> int:
@@ -560,7 +565,6 @@ def _group_key(point: GridPoint) -> tuple:
 
 def compute_group(
     points: "Sequence[GridPoint]",
-    replay_backend: str = "python",
     stackdist: str = "exact",
     shards_rate: float = 0.01,
 ) -> "list[SweepPoint]":
@@ -607,7 +611,6 @@ def compute_group(
         stream=_stream_for(
             first.code, first.p, first.scheme_mode, first.n_errors, first.seed
         ),
-        replay_backend=replay_backend,
         stackdist=stackdist,
         shards_rate=shards_rate,
     )
@@ -641,19 +644,9 @@ def compute_group(
     return rows
 
 
-def _plan_totals() -> tuple[int, int]:
-    """Summed ``(hits, misses)`` over this process's PlanCache memos."""
-    hits = misses = 0
-    for plans in _PLANS.values():
-        h, m = plans.counts()
-        hits += h
-        misses += m
-    return hits, misses
-
-
 def _timed_task(
     points: "tuple[GridPoint, ...]",
-    replay: "tuple[str, str, float]" = ("python", "exact", 0.01),
+    replay: "tuple[str, float]" = ("exact", 0.01),
 ) -> "tuple[list[tuple[SweepPoint, float]], tuple[int, int]]":
     """Pool entry point for a task: a same-stream group or a singleton.
 
@@ -662,18 +655,27 @@ def _timed_task(
     the group's cells so per-point timings stay additive.  The second
     element is this task's plan-cache ``(hits, misses)`` delta — additive
     across tasks and across pool workers, so the driver can surface the
-    memo's effectiveness without sharing state between processes.
+    memo's effectiveness without sharing state between processes.  It is
+    read off the one PlanCache the task's cells use (DES and cluster
+    cells plan privately and report zero), which stays in the one-group
+    memo for the whole task.
     """
-    before_hits, before_misses = _plan_totals()
+    first = points[0]
+    plans = (
+        _plans_for(first.code, first.p, first.scheme_mode)
+        if first.kind in ("trace", "demotion")
+        else None
+    )
+    before = plans.counts() if plans is not None else (0, 0)
     if len(points) == 1:
-        results = [_timed_point(points[0])]
+        results = [_timed_point(first)]
     else:
         t0 = time.perf_counter()
         rows = compute_group(points, *replay)
         per_point = (time.perf_counter() - t0) / len(points)
         results = [(row, per_point) for row in rows]
-    after_hits, after_misses = _plan_totals()
-    return results, (after_hits - before_hits, after_misses - before_misses)
+    after = plans.counts() if plans is not None else (0, 0)
+    return results, (after[0] - before[0], after[1] - before[1])
 
 
 # -- driver side --------------------------------------------------------------
@@ -705,7 +707,7 @@ def run_grid(
         if engine.cache_dir is not None
         else None
     )
-    replay = (engine.replay_backend, engine.stackdist, engine.shards_rate)
+    replay = (engine.stackdist, engine.shards_rate)
 
     rows: list = [None] * total
     timings: list[PointTiming | None] = [None] * total

@@ -1,14 +1,16 @@
 """The grid-replay microbench: batched single pass vs. per-point replay.
 
 Times the Figure 8 hit-ratio grid (the paper's policies over the FULL
-cache-size axis) through :func:`~repro.engine.stream.simulate_grid_pass`
-and through per-point :func:`~repro.engine.simulate_trace`, on one core,
-for every code family — and, when numpy is available, through the
-vector backend (``replay_backend="numpy"``), whose fleet solve is the
-third timing axis.  The resulting ``BENCH_replay.json`` is committed
-as the perf baseline; CI re-runs the bench and fails when
+cache-size axis) through the default
+:func:`~repro.engine.stream.simulate_grid_pass` (the batched axis,
+which picks the numpy fleet or stepping per job shape) and through
+per-point :func:`~repro.engine.simulate_trace`, on one core, for every
+code family — and through the :class:`~repro.engine.vector.VectorFleet`
+on every cell, the third timing axis.  The resulting
+``BENCH_replay.json`` is committed as the perf baseline; CI re-runs the
+bench and fails when
 
-* the measured speedup (python-batched *or* numpy) falls more than 10%
+* the measured speedup (batched *or* numpy) falls more than 10%
   below the committed baseline (each is a ratio of two single-core
   timings from the same machine and run, so the check is
   machine-independent), or
@@ -43,7 +45,7 @@ from ..engine import (
     simulate_grid_pass,
     simulate_trace,
 )
-from ..engine.stream import ReplayConfig
+from ..engine.stream import ReplayConfig, _replay_vector_rows
 from ..obs import emit
 from .engine import _git_rev
 from ..cache.registry import PAPER_BASELINES
@@ -83,7 +85,7 @@ class ReplayGroupResult:
     batched_s: float
     per_point_s: float
     rows_identical: bool
-    #: vector-backend axis
+    #: all-fleet axis (the numpy fleet on every cell)
     numpy_s: float
     numpy_rows_identical: bool
 
@@ -133,9 +135,9 @@ def _bench_group(
 
     def vectored():
         # same protocol: the numpy timing pays for interning too
-        return simulate_grid_pass(
-            backend, events, configs, plan_cache=plans, replay_backend="numpy"
-        )
+        stream = intern_stream(backend, events, plan_cache=plans)
+        rows = _replay_vector_rows(configs, lambda hint: stream, False)
+        return [rows.get(i) for i in range(len(configs))]
 
     def per_point():
         return [

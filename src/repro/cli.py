@@ -104,12 +104,6 @@ def _add_engine_flags(p: argparse.ArgumentParser, default_workers: str = "auto")
              "cell through the per-point golden path",
     )
     p.add_argument(
-        "--replay-backend", choices=("python", "numpy"), default="python",
-        help="batched hit-ratio replay backend: the per-request python "
-             "loop (golden reference) or the vector fleet (bit-identical "
-             "rows; default: python)",
-    )
-    p.add_argument(
         "--stackdist", choices=("exact", "sampled"), default="exact",
         help="plain-LRU stack-distance profile: exact Fenwick or SHARDS "
              "sampling at --shards-rate (approximate rows, O(sample) "
@@ -441,7 +435,6 @@ def _engine_config(
         workers=workers,
         cache_dir=cache_dir,
         batch=not args.no_batch,
-        replay_backend=getattr(args, "replay_backend", "python"),
         stackdist=getattr(args, "stackdist", "exact"),
         shards_rate=getattr(args, "shards_rate", 0.01),
     )

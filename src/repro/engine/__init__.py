@@ -19,10 +19,10 @@ four XOR 3DFT codes plus the LRC code plug in as adapters.
 * :mod:`repro.engine.stackdist` — Mattson reuse-distance profiling, the
   LRU all-capacities fast path behind the grid replay, exact (Fenwick)
   and SHARDS-sampled.
-* :mod:`repro.engine.vector` — the numpy vector replay backend:
+* :mod:`repro.engine.vector` — the numpy vector replay:
   :class:`VectorReplay`/:class:`VectorFleet` batch whole (policy x
   capacity x worker) grids into array kernels, bit-identical to the
-  stepped replay.
+  stepped replay; the grid pass uses them for jobs wide enough to win.
 * :mod:`repro.engine.timed` — the timed replay:
   :func:`run_timed_replay`.
 """

@@ -17,7 +17,10 @@ hashing inside every policy dict.  This module decodes **once**:
 * plain-LRU configurations skip stepping entirely: a Mattson
   reuse-distance profile (:mod:`repro.engine.stackdist`) yields the
   exact LRU hit count at *every* capacity from one pass per worker
-  substream.
+  substream;
+* jobs wide enough to pay for it — many unsaturated (worker, size)
+  lanes per step — replay on the numpy fleet (:mod:`repro.engine.
+  vector`) instead, with the same rows.
 
 Interning is exact, not approximate: every policy keys its bookkeeping
 dicts on the request key's identity and never iterates them in hash
@@ -667,52 +670,118 @@ def _is_vector_eligible(config: ReplayConfig) -> bool:
     )
 
 
-def _replay_vector_rows(
+#: The fleet kernel that solves each vector policy.  LFU and FBF share
+#: the bucket kernel's step loop, so the shape rule counts their lanes
+#: together.
+_KERNEL_OF = {
+    "fifo": "fifo", "lru": "lru", "lfu": "bucket", "fbf": "bucket", "arc": "arc",
+}
+
+#: Fleet break-even per kernel, in unsaturated lanes per step
+#: (``lane_steps / steps``, DESIGN §14).  A fleet step costs a fixed
+#: number of numpy dispatches however many lanes it carries, so the
+#: fleet beats stepping (for LRU: the Fenwick profile) only once enough
+#: lanes share each step.  Both costs move with host speed; their ratio
+#: does not.
+_FLEET_BREAK_EVEN = {"fifo": 80.0, "lru": 200.0, "bucket": 200.0, "arc": 420.0}
+
+
+def _vector_cells(
     configs: Sequence[ReplayConfig],
     stream_for: Callable[[str], InternedStream],
-    lru_fast_path: bool,
-) -> dict[int, TraceSimResult]:
-    """Solve every vector-eligible config in one fleet; rows by index.
+    lru_on_fleet: bool,
+) -> dict[int, tuple[str, int, int, str]]:
+    """Every cell the fleet can take: index -> (hint, workers, size, policy).
 
-    Configs are grouped into one :class:`~repro.engine.vector.
-    VectorFleet` job per ``(hint, workers)`` pair, so the whole grid
-    costs one batched step loop per policy family.  Rows are
-    bit-identical to :func:`_replay_stepped` (property-tested).  The
-    caller decides who owns plain LRU via ``lru_fast_path``: True keeps
-    it on the reuse-distance profile path (the sampled-profile case),
-    False routes it through the fleet's rank-histogram kernel.
+    ``size`` is the per-worker capacity.  Zero-size slices step, and
+    plain LRU joins only when ``lru_on_fleet`` (otherwise a reuse-distance
+    profile owns it).
     """
-    plan: dict[int, tuple[str, int, int, str]] = {}
-    groups: dict[tuple[str, int], set[int]] = {}
-    pols: set[str] = set()
+    cells: dict[int, tuple[str, int, int, str]] = {}
     for i, config in enumerate(configs):
         if not _is_vector_eligible(config):
             continue
-        if lru_fast_path and _is_plain_lru(config):
+        if config.policy == "lru" and not lru_on_fleet:
             continue
-        st = stream_for(config.hint)
         workers, per_worker = effective_partition(
-            config.capacity_blocks, config.workers, st.n_events
+            config.capacity_blocks, config.workers,
+            stream_for(config.hint).n_events,
         )
-        if per_worker < 1:  # degenerate zero-capacity cell: step it
+        if per_worker >= 1:
+            cells[i] = (config.hint, workers, per_worker, config.policy)
+    return cells
+
+
+def _shape_rule(
+    cells: dict[int, tuple[str, int, int, str]],
+    stream_for: Callable[[str], InternedStream],
+    distincts_for: Callable[[InternedStream, int], Sequence[int]],
+) -> dict[int, tuple[str, int, int, str]]:
+    """The cells whose ``(hint, workers)`` job runs a kernel the fleet wins.
+
+    Per job and kernel, ``steps`` is the longest worker substream and
+    ``lane_steps`` sums the substream lengths over the unsaturated
+    (worker, size) lanes; the kernel's cells go to the fleet iff
+    ``lane_steps / steps`` reaches :data:`_FLEET_BREAK_EVEN`.
+    """
+    jobs: dict[tuple[str, int, str], dict[int, tuple[str, int, int, str]]] = {}
+    for i, cell in cells.items():
+        hint, workers, _, policy = cell
+        jobs.setdefault((hint, workers, _KERNEL_OF[policy]), {})[i] = cell
+    chosen: dict[int, tuple[str, int, int, str]] = {}
+    for (hint, workers, kernel), members in jobs.items():
+        st = stream_for(hint)
+        lengths = [len(bids) for bids, _ in st.worker_substreams(workers)]
+        need = _FLEET_BREAK_EVEN[kernel] * max(lengths)
+        lanes = sorted({(policy, size) for _, _, size, policy in members.values()})
+        # With every lane unsaturated the job still falls short: small
+        # jobs stop here, before the distinct counts are needed.
+        if len(lanes) * sum(lengths) < need:
             continue
-        groups.setdefault((config.hint, workers), set()).add(per_worker)
-        pols.add(config.policy)
-        plan[i] = (config.hint, workers, per_worker, config.policy)
-    if not plan:
+        distincts = distincts_for(st, workers)
+        lane_steps = sum(
+            n for _, size in lanes for n, d in zip(lengths, distincts) if size < d
+        )
+        if lane_steps >= need:
+            chosen.update(members)
+    return chosen
+
+
+def _solve_cells(
+    configs: Sequence[ReplayConfig],
+    cells: dict[int, tuple[str, int, int, str]],
+    stream_for: Callable[[str], InternedStream],
+) -> dict[int, TraceSimResult]:
+    """Solve ``cells`` through the fleet; rows by config index.
+
+    Cells become one :class:`~repro.engine.vector.VectorFleet` job per
+    ``(hint, workers)`` pair; jobs that need the same policies share one
+    fleet, and so one batched step loop per policy family.  Rows are
+    bit-identical to :func:`_replay_stepped` (property-tested).
+    """
+    if not cells:
         return {}
     from .vector import VectorFleet
 
-    fleet = VectorFleet()
-    job_of = {
-        key: fleet.add(stream_for(key[0]), key[1], caps)
-        for key, caps in groups.items()
-    }
-    solved = fleet.solve(sorted(pols))
+    jobs: dict[tuple[str, int], tuple[set[int], set[str]]] = {}
+    for hint, workers, size, policy in cells.values():
+        sizes, pols = jobs.setdefault((hint, workers), (set(), set()))
+        sizes.add(size)
+        pols.add(policy)
+    fleets: dict[tuple[str, ...], list[tuple[str, int]]] = {}
+    for key, (_, pols) in jobs.items():
+        fleets.setdefault(tuple(sorted(pols)), []).append(key)
+    solved: dict[tuple[str, int], dict] = {}
+    for pols, keys in fleets.items():
+        fleet = VectorFleet()
+        for key in keys:
+            fleet.add(stream_for(key[0]), key[1], jobs[key][0])
+        for key, out in zip(keys, fleet.solve(pols)):
+            solved[key] = out
     rows: dict[int, TraceSimResult] = {}
-    for i, (hint, workers, per_worker, policy) in plan.items():
+    for i, (hint, workers, per_worker, policy) in cells.items():
         st = stream_for(hint)
-        hits = solved[job_of[(hint, workers)]][policy][per_worker]
+        hits = solved[(hint, workers)][policy][per_worker]
         requests = st.total_requests
         rows[i] = TraceSimResult(
             policy=policy,
@@ -730,6 +799,24 @@ def _replay_vector_rows(
     return rows
 
 
+def _replay_vector_rows(
+    configs: Sequence[ReplayConfig],
+    stream_for: Callable[[str], InternedStream],
+    lru_fast_path: bool,
+) -> dict[int, TraceSimResult]:
+    """Solve every vector-eligible config through the fleet, whatever its
+    shape; rows by index.
+
+    The equivalence tests' and the replay bench's lever: the grid pass
+    itself sends only the cells :func:`_shape_rule` picks.  True keeps
+    plain LRU on the reuse-distance profile path, False routes it
+    through the fleet's rank-histogram kernel.
+    """
+    return _solve_cells(
+        configs, _vector_cells(configs, stream_for, not lru_fast_path), stream_for
+    )
+
+
 def simulate_grid_pass(
     backend: CodeBackend,
     events: Sequence[Any],
@@ -737,7 +824,6 @@ def simulate_grid_pass(
     plan_cache: PlanCache | None = None,
     stream: InternedStream | None = None,
     lru_fast_path: bool = True,
-    replay_backend: str = "python",
     stackdist: str = "exact",
     shards_rate: float = 0.01,
 ) -> list[TraceSimResult]:
@@ -751,30 +837,28 @@ def simulate_grid_pass(
     per-worker working-set sizes are shared across hints); pass
     ``stream`` to reuse an already-interned stream for its hint.
 
-    Two exact fast paths skip stepping (``lru_fast_path=False`` disables
-    both — the equivalence tests' lever):
+    Three exact fast paths skip per-request stepping
+    (``lru_fast_path=False`` disables all three — the equivalence
+    tests' lever):
 
+    * the numpy :class:`~repro.engine.vector.VectorFleet`, for the plain
+      FIFO/LRU/LFU/ARC/FBF cells of every ``(hint, workers)`` job whose
+      shape :func:`_shape_rule` says the fleet wins — enough unsaturated
+      lanes per step to pay back its fixed numpy cost per step;
     * plain LRU at any capacity, via the Mattson reuse-distance profile;
     * *saturated* cells of any :data:`SATURATION_SAFE_POLICIES` policy —
       when every worker's capacity slice covers its substream's whole
       working set, no policy ever evicts and the hit count is exactly
       requests minus distinct blocks.
 
-    ``replay_backend="numpy"`` solves every vector-eligible cell (plain
-    FIFO/LRU/LFU/ARC/FBF) through one :class:`~repro.engine.vector.
-    VectorFleet` batch instead of per-request stepping — rows stay
-    bit-for-bit identical; ineligible cells (custom factories, kwargs,
-    the sanitizer) silently take the python path.  ``stackdist=
-    "sampled"`` swaps the plain-LRU fast path's exact Fenwick profile
-    for the SHARDS sampled one at ``shards_rate`` — the one knob that
-    trades row exactness (bounded hit-ratio error, O(sample) memory)
-    for scale.
+    Cells the fleet refuses (custom factories, kwargs, the sanitizer,
+    zero-size slices) step.  ``stackdist="sampled"`` swaps the plain-LRU
+    profile's exact Fenwick tree for the SHARDS sampled one at
+    ``shards_rate`` and keeps plain LRU off the fleet — the one knob
+    that trades row exactness (bounded hit-ratio error, O(sample)
+    memory) for scale.
     """
     configs = list(configs)
-    if replay_backend not in ("python", "numpy"):
-        raise ValueError(
-            f"replay_backend must be 'python' or 'numpy', got {replay_backend!r}"
-        )
     if stackdist not in ("exact", "sampled"):
         raise ValueError(
             f"stackdist must be 'exact' or 'sampled', got {stackdist!r}"
@@ -791,8 +875,7 @@ def simulate_grid_pass(
     if obs_on:
         pass_span = _obs.span(
             "engine.grid_pass",
-            {"code": backend.code_label, "n_configs": len(configs),
-             "backend": replay_backend},
+            {"code": backend.code_label, "n_configs": len(configs)},
         )
         pass_span.__enter__()
         n_lru_fast = n_stepped = n_vector = 0
@@ -813,15 +896,23 @@ def simulate_grid_pass(
     # workers -> per-worker-substream reuse-distance profiles, shared by
     # every plain-LRU config in the group (ids are hint-independent).
     lru_profiles: dict[int, list[StackDistanceProfile]] = {}
-    # workers -> per-worker distinct-block counts (the saturation check).
+    # workers -> per-worker distinct-block counts (the saturation check
+    # and the shape rule).
     worker_distincts: dict[int, list[int]] = {}
+
+    def distincts_for(st: InternedStream, workers: int) -> list[int]:
+        cached = worker_distincts.get(workers)
+        if cached is None:
+            cached = worker_distincts[workers] = [
+                len(set(bids)) for bids, _ in st.worker_substreams(workers)
+            ]
+        return cached
+
     vector_rows: dict[int, TraceSimResult] = {}
-    if replay_backend == "numpy":
-        # The fleet's LRU rank-histogram kernel beats building per-worker
-        # Fenwick profiles, so plain LRU rides the fleet too — unless the
-        # caller explicitly asked for the SHARDS sampled profile.
-        vector_rows = _replay_vector_rows(
-            configs, stream_for, lru_fast_path and stackdist == "sampled"
+    if lru_fast_path:
+        cells = _vector_cells(configs, stream_for, stackdist == "exact")
+        vector_rows = _solve_cells(
+            configs, _shape_rule(cells, stream_for, distincts_for), stream_for
         )
     results: list[TraceSimResult] = []
     for i, config in enumerate(configs):
@@ -844,11 +935,7 @@ def simulate_grid_pass(
             workers, _ = effective_partition(
                 config.capacity_blocks, config.workers, st.n_events
             )
-            distincts = worker_distincts.get(workers)
-            if distincts is None:
-                distincts = worker_distincts[workers] = [
-                    len(set(bids)) for bids, _ in st.worker_substreams(workers)
-                ]
+            distincts = distincts_for(st, workers)
         results.append(_replay_stepped(st, config, worker_distincts=distincts))
         if obs_on:
             n_stepped += 1

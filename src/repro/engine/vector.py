@@ -300,7 +300,7 @@ class _Lanes:
 
     __slots__ = ("n_lanes", "state_size", "base", "widths", "capv",
                  "lengths", "prefix", "last_step", "kflat", "kloc",
-                 "admit", "is_lfu", "slot", "n_slots", "n_buckets", "ar")
+                 "admit", "is_lfu", "slot", "n_buckets", "ar")
 
     def __init__(self, specs: Sequence[_LaneSpec], with_admit: bool = False):
         lens, caps, slots, widths, worker_of, lfu = [], [], [], [], [], []
@@ -350,9 +350,6 @@ class _Lanes:
         self.prefix = np.searchsorted(
             -lengths, -np.arange(steps), side="left"
         ).tolist()
-        self.n_slots = max(
-            (s.slot_offset + len(s.caps) for s in specs), default=0
-        )
         # Request/admit matrices: build spec-contiguous column blocks,
         # then permute columns into global lane order in one gather
         # (much cheaper than scattering strided columns per spec).
@@ -706,8 +703,6 @@ class VectorFleet:
 
     def add(self, stream: "InternedStream", workers: int,
             per_worker_caps: Iterable[int]) -> int:
-        if np is None:  # pragma: no cover - numpy is baked into the env
-            raise RuntimeError("numpy is not available")
         caps = _check_caps(per_worker_caps)
         self._jobs.append((stream, int(workers), caps))
         return len(self._jobs) - 1
@@ -719,13 +714,18 @@ class VectorFleet:
             view = self._views[job] = _WorkerView(stream, workers)
         return view
 
+    def _stride(self) -> int:
+        """Output slots per (job, policy) pair: the most capacities any
+        job asked for."""
+        return max((len(caps) for _, _, caps in self._jobs), default=0)
+
     def _specs(self, flavor: str | None, pol_index: int = 0) -> list[_LaneSpec]:
         specs = []
-        n_jobs = len(self._jobs)
+        n_jobs, stride = len(self._jobs), self._stride()
         for job, (_, _, caps) in enumerate(self._jobs):
             specs.append(_LaneSpec(
                 self._view(job), caps, flavor,
-                (pol_index * n_jobs + job) * _SLOT_STRIDE,
+                (pol_index * n_jobs + job) * stride,
             ))
         return specs
 
@@ -735,11 +735,6 @@ class VectorFleet:
         bad = sorted(set(pols) - VECTOR_POLICIES)
         if bad:
             raise ValueError(f"no vector kernel for policies: {bad}")
-        if len(self._jobs) * _SLOT_STRIDE >= 2 ** 31:
-            raise ValueError("too many jobs for one fleet")
-        for _, _, caps in self._jobs:
-            if len(caps) > _SLOT_STRIDE:
-                raise ValueError("too many capacities for one fleet job")
         out: list[dict] = [{} for _ in self._jobs]
         obs_on = _obs.ENABLED
         span = None
@@ -788,21 +783,18 @@ class VectorFleet:
             _obs.counter("engine.vector.lane_steps").inc(
                 int(lanes.lengths.sum())
             )
-        per_slot = np.zeros(len(self._jobs) * len(pols) * _SLOT_STRIDE,
+        stride = self._stride()
+        per_slot = np.zeros(len(self._jobs) * len(pols) * stride,
                             dtype=np.int64)
         np.add.at(per_slot, lanes.slot, lane_hits)
         for pi, pol in enumerate(pols):
             for job, (_, _, caps) in enumerate(self._jobs):
                 sat = _saturated_hits(self._view(job), caps)
-                off = (pi * len(self._jobs) + job) * _SLOT_STRIDE
+                off = (pi * len(self._jobs) + job) * stride
                 out[job][pol] = {
                     c: int(per_slot[off + ci]) + sat[ci]
                     for ci, c in enumerate(caps)
                 }
-
-
-#: Output slots reserved per (job, policy) pair in a fleet lane set.
-_SLOT_STRIDE = 64
 
 
 class VectorReplay:
@@ -816,8 +808,6 @@ class VectorReplay:
     """
 
     def __init__(self, stream: "InternedStream"):
-        if np is None:  # pragma: no cover - numpy is baked into the env
-            raise RuntimeError("numpy is not available")
         self._stream = stream
         self._views: dict[int, _WorkerView] = {}
         self._memo: dict[tuple, Mapping[int, int]] = {}

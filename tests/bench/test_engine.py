@@ -72,9 +72,10 @@ class TestEngineConfig:
 
 
 class TestReplayBackendConfig:
-    def test_rejects_bad_backend(self):
-        with pytest.raises(ValueError, match="replay_backend"):
-            EngineConfig(replay_backend="cuda")
+    def test_replay_backend_option_is_gone(self):
+        # The grid pass picks the fleet per job shape; there is no switch.
+        with pytest.raises(TypeError, match="replay_backend"):
+            EngineConfig(replay_backend="numpy")
 
     def test_rejects_bad_stackdist(self):
         with pytest.raises(ValueError, match="stackdist"):
@@ -86,10 +87,6 @@ class TestReplayBackendConfig:
 
     def test_exact_keeps_base_salt(self):
         assert EngineConfig().replay_salt() == ENGINE_CACHE_VERSION
-        assert (
-            EngineConfig(replay_backend="numpy").replay_salt()
-            == ENGINE_CACHE_VERSION
-        )
 
     def test_sampled_salts_by_rate(self):
         a = EngineConfig(stackdist="sampled", shards_rate=0.01)
@@ -98,10 +95,22 @@ class TestReplayBackendConfig:
         assert a.replay_salt() != b.replay_salt()
 
     def test_numpy_rows_equal_python_through_run_grid(self):
-        grid = tiny_grid("fig8")
-        reference = run_grid(grid, SERIAL)
-        rows = run_grid(grid, EngineConfig(workers=0, replay_backend="numpy"))
-        assert rows_equivalent(reference.points, rows.points)
+        # 128 SOR workers over 300 events: wide enough that the grid
+        # pass hands FIFO and LFU/FBF to the numpy fleet.
+        from repro.obs import runtime
+
+        grid = experiment_grid("fig8", Scale(
+            n_errors=300, workers=128, cache_mbs=(8, 16, 32), seed=3,
+            codes=("tip",), ps_main=(7,),
+        ))
+        registry = runtime.enable(fresh=True)
+        try:
+            rows = run_grid(grid, SERIAL)
+        finally:
+            runtime.disable()
+        assert registry.snapshot()["counters"]["engine.grid.vector_rows"] > 0
+        reference = run_grid(grid, EngineConfig(workers=0, batch=False))
+        assert rows.points == reference.points
 
 
 class TestParallelSerialEquivalence:
@@ -243,6 +252,32 @@ class TestPlanCacheSurfacing:
         warm = run_grid(tiny_grid("fig8"), SERIAL)
         assert warm.plan_cache_misses == 0
         assert warm.points == result.points
+
+    def test_two_group_grid_reports_every_task_plan_delta(self):
+        # The memos hold one group, so the second group evicts the
+        # first's PlanCache mid-run; each task's delta must still come
+        # from the PlanCache it used.  (8, 88) is what a grid that keeps
+        # every group's memo reports for this grid.
+        from dataclasses import replace
+
+        from repro.bench import QUICK
+        from repro.bench.engine import _reset_worker_state
+        from repro.engine import PlanCache, intern_stream, make_backend
+
+        scale = replace(QUICK, codes=("tip",), ps_main=(7, 11))
+        _reset_worker_state()
+        result = run_grid(experiment_grid("fig8", scale), SERIAL)
+        assert (result.plan_cache_hits, result.plan_cache_misses) == (8, 88)
+        expected = [0, 0]
+        for p in scale.ps_main:
+            backend = make_backend("tip", p)
+            plans = PlanCache(backend)
+            intern_stream(
+                backend, backend.generate_events(scale.n_errors, scale.seed),
+                plan_cache=plans,
+            )
+            expected = [a + b for a, b in zip(expected, plans.counts())]
+        assert [result.plan_cache_hits, result.plan_cache_misses] == expected
 
     def test_payload_carries_plan_counts(self):
         from repro.bench.engine import _reset_worker_state

@@ -10,7 +10,7 @@ for each — with the LRU/saturation fast paths both on and off.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.registry import available_policies
@@ -82,6 +82,53 @@ def test_grid_pass_rows_equal_per_point(
             sanitize=config.sanitize,
         )
         assert row == expected, (config, row, expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    spec=st.sampled_from((("tip", 7), ("star", 5), ("lrc(6,2,2)", 0))),
+    policies=st.sets(st.sampled_from(("fifo", "lru", "lfu", "arc", "fbf")),
+                     min_size=1),
+    sizes=st.lists(st.integers(min_value=1, max_value=48), min_size=1,
+                   max_size=4, unique=True),
+    workers=st.sampled_from((1, 2, 8, 32, 128)),
+    n_events=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**16),
+    sanitize=st.booleans(),
+)
+# Both sides of the fleet's shape rule: a Fig. 8 FULL-like job (every
+# kernel's lanes wide enough for the fleet) and a one-worker job.
+@example(spec=("tip", 7), policies={"fifo", "lru", "lfu", "arc", "fbf"},
+         sizes=[2, 4, 8, 16], workers=128, n_events=300, seed=1,
+         sanitize=False)
+@example(spec=("tip", 7), policies={"fifo", "lru", "lfu", "arc", "fbf"},
+         sizes=[2, 4, 8, 16], workers=1, n_events=300, seed=1,
+         sanitize=False)
+def test_rows_equal_per_point_on_both_sides_of_the_shape_rule(
+    spec, policies, sizes, workers, n_events, seed, sanitize
+):
+    name, p = spec
+    backend = make_backend(name, p)
+    events = backend.generate_events(n_events, seed)
+    eff_workers = min(workers, n_events)
+    # A sanitized FIFO cell rides along: the fleet refuses it, so it steps.
+    config_list = [
+        ReplayConfig(policy=policy, capacity_blocks=size * eff_workers,
+                     workers=workers)
+        for policy in sorted(policies)
+        for size in sizes
+    ] + [ReplayConfig(policy="fifo", capacity_blocks=sizes[0] * eff_workers,
+                      workers=workers, sanitize=sanitize)]
+    rows = simulate_grid_pass(backend, events, config_list)
+    for config, row in zip(config_list, rows):
+        assert row == simulate_trace(
+            backend,
+            events,
+            policy=config.policy,
+            capacity_blocks=config.capacity_blocks,
+            workers=config.workers,
+            sanitize=config.sanitize,
+        ), config
 
 
 def test_shared_stream_and_plan_cache_reused():

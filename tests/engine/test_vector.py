@@ -1,10 +1,12 @@
-"""The numpy replay backend's contract: rows equal the python pass, bit for bit.
+"""The numpy fleet's contract: rows equal the stepped pass, bit for bit.
 
 Hypothesis samples a backend and a bag of configurations — including
-sanitized and factory-built ones the fleet must refuse and fall back to
-stepping for — and asserts :func:`~repro.engine.stream.simulate_grid_pass`
-returns the identical row list under ``replay_backend="numpy"``.  The
-wiring tests pin down eligibility, degenerate-cell fallback, argument
+sanitized and factory-built ones the fleet must refuse — and asserts
+that every row :func:`~repro.engine.stream._replay_vector_rows` solves
+through the fleet, whatever the job's shape, equals the stepped row of
+:func:`~repro.engine.stream.simulate_grid_pass` with its fast paths off.
+The wiring tests pin down eligibility, degenerate-cell fallback, the
+slot stride past 64 sizes, the shape rule's decisions, argument
 validation, and the sampled-profile dispatch at ``rate=1.0`` (where
 SHARDS is exact by construction).
 """
@@ -26,6 +28,7 @@ from repro.engine.stream import (
     ReplayConfig,
     _is_vector_eligible,
     _replay_vector_rows,
+    intern_stream,
 )
 
 BACKEND_SPECS = (
@@ -51,6 +54,18 @@ def _valid(config: ReplayConfig, n_events: int) -> bool:
     """Drop combos the partition contract rejects (tested elsewhere)."""
     eff_workers = min(config.workers, n_events)
     return not 0 < config.capacity_blocks < eff_workers
+
+
+def _stream_for(backend, events, plans=None):
+    plans = plans if plans is not None else PlanCache(backend)
+    memo = {}
+
+    def stream_for(hint):
+        if hint not in memo:
+            memo[hint] = intern_stream(backend, events, hint=hint, plan_cache=plans)
+        return memo[hint]
+
+    return stream_for
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,17 +103,38 @@ def test_numpy_rows_equal_python(spec, config_list, n_events, seed, fast_path):
         return
     plans = PlanCache(backend)
     reference = simulate_grid_pass(
-        backend, events, config_list, plan_cache=plans, lru_fast_path=fast_path
+        backend, events, config_list, plan_cache=plans, lru_fast_path=False
     )
-    rows = simulate_grid_pass(
-        backend,
-        events,
-        config_list,
-        plan_cache=plans,
-        lru_fast_path=fast_path,
-        replay_backend="numpy",
+    rows = _replay_vector_rows(
+        config_list, _stream_for(backend, events, plans), fast_path
     )
-    assert rows == reference
+    # The fleet takes every plain cell with a non-empty slice; plain LRU
+    # only with fast_path off (on, the reuse-distance profile owns it).
+    assert set(rows) == {
+        i for i, c in enumerate(config_list)
+        if _is_vector_eligible(c) and c.capacity_blocks > 0
+        and not (fast_path and c.policy == "lru")
+    }
+    for i, row in rows.items():
+        assert row == reference[i]
+
+
+def test_fleet_takes_more_than_64_sizes():
+    # 79 sizes at workers=4: more output slots per (job, policy) than a
+    # fixed 64-slot stride would hold.
+    backend = make_backend("tip", 7)
+    events = backend.generate_events(200, 11)
+    config_list = [
+        ReplayConfig(policy=policy, capacity_blocks=4 * size, workers=4)
+        for policy in ("fifo", "arc")
+        for size in range(1, 80)
+    ]
+    rows = _replay_vector_rows(config_list, _stream_for(backend, events), True)
+    assert len(rows) == len(config_list)
+    reference = simulate_grid_pass(
+        backend, events, config_list, lru_fast_path=False
+    )
+    assert [rows[i] for i in range(len(config_list))] == reference
 
 
 def test_sampled_rate_one_equals_exact():
@@ -144,27 +180,12 @@ class TestEligibility:
 
 
 class TestVectorRows:
-    def _stream_for(self, backend, events):
-        from repro.engine.stream import intern_stream
-
-        plans = PlanCache(backend)
-        memo = {}
-
-        def stream_for(hint):
-            if hint not in memo:
-                memo[hint] = intern_stream(
-                    backend, events, hint=hint, plan_cache=plans
-                )
-            return memo[hint]
-
-        return stream_for
-
     def test_degenerate_capacity_falls_back(self):
         # capacity 0 -> per_worker 0: the fleet refuses the cell and the
         # stepped path owns it, so no row comes back for that index.
         backend = make_backend("tip", 5)
         events = backend.generate_events(4, 1)
-        stream_for = self._stream_for(backend, events)
+        stream_for = _stream_for(backend, events)
         rows = _replay_vector_rows(
             [ReplayConfig(policy="fifo", capacity_blocks=0, workers=2)],
             stream_for,
@@ -175,7 +196,7 @@ class TestVectorRows:
     def test_lru_ownership_flag(self):
         backend = make_backend("tip", 5)
         events = backend.generate_events(4, 1)
-        stream_for = self._stream_for(backend, events)
+        stream_for = _stream_for(backend, events)
         config = [ReplayConfig(policy="lru", capacity_blocks=8, workers=2)]
         assert _replay_vector_rows(config, stream_for, True) == {}
         taken = _replay_vector_rows(config, stream_for, False)
@@ -192,9 +213,9 @@ class TestValidation:
             self.BACKEND, self.EVENTS, self.CONFIGS, **kwargs
         )
 
-    def test_bad_backend(self):
-        with pytest.raises(ValueError, match="replay_backend"):
-            self._pass(replay_backend="cuda")
+    def test_replay_backend_option_is_gone(self):
+        with pytest.raises(TypeError, match="replay_backend"):
+            self._pass(replay_backend="numpy")
 
     def test_bad_stackdist(self):
         with pytest.raises(ValueError, match="stackdist"):
@@ -209,7 +230,6 @@ class TestValidation:
 class TestFleetApi:
     def test_unknown_policy_rejected(self):
         from repro.engine import VectorFleet
-        from repro.engine.stream import intern_stream
 
         backend = make_backend("tip", 5)
         events = backend.generate_events(3, 2)
@@ -220,3 +240,64 @@ class TestFleetApi:
         fleet.add(stream, 2, (4,))
         with pytest.raises(ValueError, match="mru"):
             fleet.solve(["mru"])
+
+
+class TestShapeRule:
+    """Which kernels the grid pass hands to the fleet, by job shape."""
+
+    @staticmethod
+    def _fleet_policies(name, p, n_events, workers, sizes):
+        from repro.engine.stream import _shape_rule, _vector_cells
+
+        backend = make_backend(name, p)
+        events = backend.generate_events(n_events, 5)
+        config_list = [
+            ReplayConfig(policy=policy, capacity_blocks=size * workers,
+                         workers=workers)
+            for policy in sorted(VECTOR_POLICIES)
+            for size in sizes
+        ]
+        stream_for = _stream_for(backend, events)
+
+        def distincts_for(st, w):
+            return [len(set(bids)) for bids, _ in st.worker_substreams(w)]
+
+        cells = _vector_cells(config_list, stream_for, True)
+        chosen = _shape_rule(cells, stream_for, distincts_for)
+        return {config_list[i].policy for i in chosen}
+
+    def test_fig8_full_job_sends_fifo_and_bucket_to_the_fleet(self):
+        # Fig. 8 FULL: 400 events, 128 SOR workers, 8 MB .. 2 GB caches
+        # of 32 KB blocks split 128 ways.
+        sizes = [(mb * 32) // 128 for mb in (8, 16, 32, 64, 128, 256, 512,
+                                             1024, 2048)]
+        chosen = self._fleet_policies("tip", 7, 400, 128, sizes)
+        assert {"fifo", "lfu", "fbf"} <= chosen
+
+    def test_one_worker_job_steps(self):
+        sizes = [256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536]
+        assert self._fleet_policies("tip", 7, 400, 1, sizes) == set()
+
+    def test_lru_fast_path_off_steps_every_cell(self):
+        from repro.obs import runtime
+
+        backend = make_backend("tip", 7)
+        events = backend.generate_events(400, 5)
+        config_list = [
+            ReplayConfig(policy=policy, capacity_blocks=cap, workers=128)
+            for policy in sorted(VECTOR_POLICIES)
+            for cap in (256, 1024)
+        ]
+        registry = runtime.enable(fresh=True)
+        try:
+            fast = simulate_grid_pass(backend, events, config_list)
+            fleet_rows = registry.snapshot()["counters"]["engine.grid.vector_rows"]
+            stepped = simulate_grid_pass(
+                backend, events, config_list, lru_fast_path=False
+            )
+            counters = registry.snapshot()["counters"]
+        finally:
+            runtime.disable()
+        assert fleet_rows > 0
+        assert counters["engine.grid.vector_rows"] == fleet_rows
+        assert fast == stepped

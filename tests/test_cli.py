@@ -26,24 +26,26 @@ class TestParser:
 
     def test_replay_backend_flags(self):
         args = build_parser().parse_args(
-            ["bench", "fig8", "--replay-backend", "numpy",
-             "--stackdist", "sampled", "--shards-rate", "0.05"]
+            ["bench", "fig8", "--stackdist", "sampled", "--shards-rate", "0.05"]
         )
-        assert args.replay_backend == "numpy"
         assert args.stackdist == "sampled"
         assert args.shards_rate == 0.05
 
-    def test_replay_backend_defaults_to_python(self):
+    def test_replay_defaults_to_exact_stackdist(self):
         from repro.cli import _engine_config
 
         args = build_parser().parse_args(["bench", "fig8", "--no-cache"])
         engine = _engine_config(args, default_cache=False)
-        assert engine.replay_backend == "python"
         assert engine.stackdist == "exact"
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "fig8", "--replay-backend", "cuda"])
+        # --replay-backend is gone from bench, obs and report: the grid
+        # pass picks the numpy fleet or stepping per job shape.
+        for command in (["bench", "fig8"], ["obs", "fig8"], ["report"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [*command, "--replay-backend", "numpy"]
+                )
 
 
 class TestInfo:
