@@ -205,7 +205,8 @@ def test_grid_replay_speedup_and_identity(benchmark):
     import json
     from pathlib import Path
 
-    from repro.bench.replay_bench import compare_to_baseline, run_replay_bench
+    from repro.bench import perf
+    from repro.bench.replay_bench import GATE, run_replay_bench
 
     payload = benchmark.pedantic(
         run_replay_bench, kwargs={"rounds": 1}, rounds=1, iterations=1
@@ -218,7 +219,7 @@ def test_grid_replay_speedup_and_identity(benchmark):
 
     baseline_path = Path(__file__).parent / "BENCH_replay.json"
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    ok, message = compare_to_baseline(payload, baseline)
+    ok, message = perf.compare(GATE, payload, baseline)
     assert ok, message
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cache.base import CachePolicy
 from ..codes.layout import Cell
+from ..core.policy import CachePolicy
 from ..core.priorities import PriorityDictionary
 from ..core.scheme import SchemeMode, generate_plan
 from .raid import RAIDArray, RepairReport

@@ -13,7 +13,8 @@ machine-independent and CI compares rows **bit-exactly**:
   Rashmi et al. traffic asymmetry the scenario exists to show);
 * the measured bottleneck must be a network link, not a disk;
 * the nic-counter detector must flag exactly the limplocked node;
-* every row must equal the committed baseline's row.
+* every row must equal the committed baseline's row (:data:`GATE`, checked
+  by :mod:`repro.bench.perf`).
 
 Run directly: ``python -m repro.bench.cluster_bench --out BENCH_cluster.json``
 or ``--check benchmarks/BENCH_cluster.json`` for the CI gate.
@@ -21,20 +22,16 @@ or ``--check benchmarks/BENCH_cluster.json`` for the CI gate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, replace
-from pathlib import Path
-from typing import Sequence
 
 from ..codes import make_code
-from ..obs import emit
 from ..sim import SimConfig, TopologySpec, run_reconstruction
 from ..sim.cluster import ClusterSpec, run_cluster_recovery
 from ..workloads import ErrorTraceConfig, generate_errors
-from .engine import _git_rev
+from . import perf
 from .experiments import QUICK
 
-__all__ = ["run_cluster_bench", "compare_to_baseline"]
+__all__ = ["GATE", "run_cluster_bench"]
 
 #: The scenario axis: (redundancy, policy) per cluster state.
 SCENARIOS = (("ec", "fbf"), ("ec", "lru"), ("ec", "arc"), ("rep", "rep"))
@@ -100,7 +97,7 @@ def run_cluster_bench(n_errors: int | None = None, seed: int | None = None) -> d
     return {
         "schema": 1,
         "kind": "cluster-recovery",
-        "git_rev": _git_rev(),
+        **perf.stamp(),
         "scale": "quick",
         "n_errors": n_errors,
         "seed": seed,
@@ -112,44 +109,6 @@ def run_cluster_bench(n_errors: int | None = None, seed: int | None = None) -> d
             "traffic_ratio": ec_cross / rep_cross if rep_cross else None,
         },
     }
-
-
-def compare_to_baseline(current: dict, baseline: dict) -> tuple[bool, str]:
-    """CI gate: all invariants hold and every row matches bit-exactly.
-
-    The payload carries only virtual-time quantities, so unlike the
-    replay bench there is no tolerance: any row drift is a determinism
-    or behaviour regression.
-    """
-    problems = [
-        f"invariant {name} does not hold"
-        for name, ok in current["checks"].items() if not ok
-    ]
-    base_rows = {
-        (r["redundancy"], r["policy"], r["limplock"]): r
-        for r in baseline["rows"]
-    }
-    for row in current["rows"]:
-        key = (row["redundancy"], row["policy"], row["limplock"])
-        expected = base_rows.pop(key, None)
-        if expected is None:
-            problems.append(f"row {key} missing from the baseline")
-            continue
-        diff = [
-            field for field in expected
-            if field in row and row[field] != expected[field]
-        ]
-        if diff:
-            problems.append(f"row {key} diverged on {', '.join(diff)}")
-    for key in base_rows:
-        problems.append(f"baseline row {key} missing from the current run")
-    if problems:
-        return False, "; ".join(problems)
-    ratio = current["aggregate"]["traffic_ratio"]
-    return True, (
-        f"{len(current['rows'])} rows bit-identical; EC moves "
-        f"{ratio:.2f}x replication's cross-rack bytes"
-    )
 
 
 def _format_summary(payload: dict) -> str:
@@ -165,42 +124,23 @@ def _format_summary(payload: dict) -> str:
             f"{r['recovery_time']:>11.3f} {r['p99_response_time']:>8.4f} "
             f"{r['bottleneck']:>13}"
         )
-    for name, ok in payload["checks"].items():
-        lines.append(f"check {name}: {'ok' if ok else 'FAILED'}")
+    ratio = payload["aggregate"]["traffic_ratio"]
+    if ratio is not None:
+        lines.append(f"EC moves {ratio:.2f}x replication's cross-rack bytes")
     return "\n".join(lines)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-cluster-bench", description=__doc__.splitlines()[0]
-    )
-    parser.add_argument("--out", help="write the BENCH_cluster.json payload here")
-    parser.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare against a committed BENCH_cluster.json; exit 1 on "
-        "any invariant failure or row drift",
-    )
-    parser.add_argument("--errors", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
-
-    payload = run_cluster_bench(n_errors=args.errors, seed=args.seed)
-    emit(_format_summary(payload))
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        emit(f"wrote {out}")
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text(encoding="utf-8"))
-        ok, message = compare_to_baseline(payload, baseline)
-        emit(("PASS: " if ok else "FAIL: ") + message)
-        return 0 if ok else 1
-    return 0
+#: Every quantity is virtual time or traffic, so rows compare bit-exactly
+#: with no tolerance: any drift is a determinism or behaviour regression.
+GATE = perf.Gate(
+    run=run_cluster_bench,
+    summary=_format_summary,
+    rows=lambda payload: {
+        (r["redundancy"], r["policy"], r["limplock"]): r
+        for r in payload["rows"]
+    },
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(perf.main(GATE))

@@ -27,12 +27,14 @@ Three layers keep repeated runs cheap:
   replayed together through :func:`~repro.engine.stream.
   simulate_grid_pass`: the request stream is decoded and interned once
   and every (policy x capacity) cell steps over it, bit-for-bit equal to
-  the per-point rows (``EngineConfig.batch=False`` — the CLI's
-  ``--no-batch`` — restores the per-point golden path);
+  the per-point rows (``EngineConfig.batch=False``, which the CLI's
+  ``--check-serial`` golden run uses, restores the per-point path);
 * **process-pool fan-out** — ``workers="auto"`` uses ``os.cpu_count()``,
   ``workers=0`` is an in-process serial fallback for debugging.  The
   worker count only schedules work; it never parameterises a simulation
-  (simlint DET004 enforces this repo-wide).
+  (simlint DET004 enforces this repo-wide).  A worker that dies mid-grid
+  raises :class:`EngineWorkerError`, naming the first point left without
+  a result.
 """
 
 from __future__ import annotations
@@ -42,17 +44,21 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from ..obs import runtime as _obs
+from .perf import stamp, write_json
 
 __all__ = [
     "ENGINE_CACHE_VERSION",
     "GridPoint",
     "EngineConfig",
     "EnginePool",
+    "EngineWorkerError",
     "PointTiming",
     "EngineResult",
     "ResultCache",
@@ -114,9 +120,9 @@ class EngineConfig:
 
     ``workers=0`` runs in-process (serial debugging fallback); ``"auto"``
     resolves to ``os.cpu_count()``.  ``cache_dir=None`` disables the
-    persistent cache.  ``batch=False`` (the CLI's ``--no-batch``)
-    disables single-pass group dispatch and computes every cell through
-    the per-point golden path.
+    persistent cache.  ``batch=False`` (the CLI's ``--check-serial``
+    golden run) disables single-pass group dispatch and computes every
+    cell through the per-point golden path.
     """
 
     workers: int | str = 0
@@ -176,8 +182,8 @@ def default_cache_dir() -> Path:
 class EnginePool:
     """A reusable process-pool handle shared across :func:`run_grid` calls.
 
-    ``run_grid`` normally builds a fresh ``ProcessPoolExecutor`` per
-    invocation — fine for one-shot sweeps, wasteful for a long-lived
+    ``run_grid`` without one uses a temporary pool per invocation — fine
+    for one-shot sweeps, wasteful for a long-lived
     caller (the serve layer) that replays a grid every few seconds:
     process spawn plus per-process memo warm-up would dominate.  An
     ``EnginePool`` keeps the executor, and therefore the workers' warm
@@ -193,7 +199,8 @@ class EnginePool:
     :meth:`close` (or the context manager).  ``workers`` follows the
     :class:`EngineConfig` vocabulary (``"auto"`` = ``os.cpu_count()``);
     a pool resolved to zero workers is a valid no-op handle — callers
-    fall back to their in-process path.
+    fall back to their in-process path.  A worker that dies breaks the
+    executor; :meth:`map` drops it, so the next call starts a fresh one.
     """
 
     def __init__(
@@ -242,8 +249,12 @@ class EnginePool:
         return self._executor
 
     def map(self, fn, iterable, chunksize: int = 1):
-        """``executor.map`` with the pool's lifetime semantics."""
-        return self.executor().map(fn, iterable, chunksize=chunksize)
+        """``executor.map``; a ``BrokenProcessPool`` drops the executor."""
+        try:
+            yield from self.executor().map(fn, iterable, chunksize=chunksize)
+        except BrokenProcessPool:
+            self.close()
+            raise
 
     def close(self) -> None:
         """Shut the executor down (idempotent); the handle stays reusable."""
@@ -256,6 +267,10 @@ class EnginePool:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class EngineWorkerError(RuntimeError):
+    """A pool worker died before every task of a grid had its result."""
 
 
 class ResultCache:
@@ -784,32 +799,29 @@ def run_grid(
                 _timed_task(tuple(points[i] for i in indices), replay),
             )
     else:
-        from functools import partial
-
         n_workers = min(n_workers, len(tasks))
         chunksize = max(1, len(tasks) // (n_workers * 4))
         todo = [tuple(points[i] for i in indices) for indices in tasks]
-        task_fn = partial(_timed_task, replay=replay)
-        if pool is not None:
-            mapped = pool.map(task_fn, todo, chunksize=chunksize)
+        runner = pool if pool is not None else EnginePool(n_workers, engine.start_method)
+        finished = 0
+        try:
+            mapped = runner.map(
+                partial(_timed_task, replay=replay), todo, chunksize=chunksize
+            )
             for indices, results in zip(tasks, mapped):
                 record_task(indices, results)
-        else:
-            import multiprocessing
-
-            context = (
-                multiprocessing.get_context(engine.start_method)
-                if engine.start_method
-                else None
-            )
-            with ProcessPoolExecutor(
-                max_workers=n_workers, mp_context=context
-            ) as executor:
-                for indices, results in zip(
-                    tasks,
-                    executor.map(task_fn, todo, chunksize=chunksize),
-                ):
-                    record_task(indices, results)
+                finished += 1
+        except BrokenProcessPool as exc:
+            point = points[tasks[finished][0]]
+            raise EngineWorkerError(
+                f"a pool worker died with {len(tasks) - finished} of "
+                f"{len(tasks)} tasks unfinished; the first is "
+                f"{point.experiment} {point.code} p={point.p} "
+                f"{point.policy} {point.cache_mb} MB"
+            ) from exc
+        finally:
+            if runner is not pool:
+                runner.close()
 
     resolved = (
         pool.resolved_workers() if pool is not None else engine.resolved_workers()
@@ -847,24 +859,6 @@ def run_grid(
 
 # -- BENCH report -------------------------------------------------------------
 
-def _git_rev() -> str | None:
-    """Current commit hash, or None outside a git checkout."""
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else None
-
-
 def bench_payload(
     experiment: str,
     scale_name: str,
@@ -877,7 +871,7 @@ def bench_payload(
         "experiment": experiment,
         "scale": scale_name,
         "engine_version": ENGINE_CACHE_VERSION,
-        "git_rev": _git_rev(),
+        **stamp(),
         "wall_s": result.wall_s,
         "compute_s": result.compute_s,
         "speedup_estimate": result.speedup_estimate,
@@ -901,11 +895,4 @@ def write_bench_json(
     result: EngineResult,
     extra: Mapping[str, object] | None = None,
 ) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(bench_payload(experiment, scale_name, result, extra), indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
-    return out
+    return write_json(path, bench_payload(experiment, scale_name, result, extra))

@@ -19,7 +19,8 @@ on/off.  All row quantities are virtual time or traffic,
 so the committed ``benchmarks/BENCH_kernel.json`` baseline is
 machine-independent and CI compares rows bit-exactly; the speedup axis
 gates like the replay bench (≥ the floor, and no >10% regression against
-the baseline).
+the baseline).  :data:`GATE` declares all of that to
+:mod:`repro.bench.perf`.
 
 Run directly: ``python -m repro.bench.kernel_bench --out BENCH_kernel.json``
 or ``--check benchmarks/BENCH_kernel.json`` for the CI gate.
@@ -28,21 +29,19 @@ or ``--check benchmarks/BENCH_kernel.json`` for the CI gate.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, replace
+from functools import partial
 from heapq import heappop, heappush
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..codes import make_code
-from ..obs import emit
 from ..obs import runtime as _obs
 from ..sim import SimConfig, TopologySpec, run_reconstruction
 from ..sim.kernel import Container, Environment, Event, Resource, Store
 from ..workloads import ErrorTraceConfig, generate_errors
-from .engine import _git_rev
+from . import perf
 
-__all__ = ["ReferenceEnvironment", "run_kernel_bench", "compare_to_baseline"]
+__all__ = ["GATE", "ReferenceEnvironment", "run_kernel_bench"]
 
 #: Minimum acceptable event-throughput speedup over the reference kernel
 #: (the tentpole's acceptance floor).
@@ -206,33 +205,6 @@ def _drive(make_env: Callable[[], Environment], build) -> int:
     return env._counter
 
 
-def _paired_best_of(build, rounds: int) -> tuple[float, float]:
-    """Min-of-N wall times for (reference, optimized), interleaved.
-
-    Alternating the two kernels inside one loop means a quiet scheduling
-    window benefits both, and min-of-N discards the slices a busy machine
-    steals — the stable estimator for sub-100ms loops.  The GC is paused
-    around the timed region so collection pauses land on neither side.
-    """
-    import gc
-
-    ref_s = opt_s = float("inf")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            _drive(ReferenceEnvironment, build)
-            ref_s = min(ref_s, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            _drive(Environment, build)
-            opt_s = min(opt_s, time.perf_counter() - t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return ref_s, opt_s
-
-
 def _measure_throughput(rounds: int) -> dict:
     workloads = []
     total_events = 0
@@ -243,7 +215,11 @@ def _measure_throughput(rounds: int) -> dict:
         ref_events = _drive(ReferenceEnvironment, build)
         opt_events = _drive(Environment, build)
         counts_match &= ref_events == opt_events
-        ref_s, opt_s = _paired_best_of(build, rounds)
+        ref_s, opt_s = perf.best_of(
+            rounds,
+            partial(_drive, ReferenceEnvironment, build),
+            partial(_drive, Environment, build),
+        )
         workloads.append(
             {
                 "name": name,
@@ -349,7 +325,7 @@ def run_kernel_bench(
     return {
         "schema": 1,
         "kind": "kernel",
-        "git_rev": _git_rev(),
+        **perf.stamp(),
         "rounds": rounds,
         "n_errors": n_errors,
         "seed": seed,
@@ -362,66 +338,6 @@ def run_kernel_bench(
             "events_per_s": throughput["events_per_s"],
         },
     }
-
-
-def compare_to_baseline(
-    current: dict, baseline: dict, tolerance: float = 0.10
-) -> tuple[bool, str]:
-    """CI gate: invariants hold, rows bit-exact, speedup not regressed.
-
-    The timed rows carry only virtual-time quantities, so like the
-    cluster gate there is no row tolerance: any drift is a determinism
-    or behaviour regression.  The speedup axis is a wall-clock *ratio*
-    (optimized vs reference on the same machine), so it transfers across
-    machines — but a shared CI runner still jitters it by a few percent.
-    The absolute :data:`SPEEDUP_FLOOR` is therefore enforced on the
-    *committed baseline* (``--out`` refuses to demonstrate less), while
-    the fresh run is held to ``tolerance`` of that baseline: the >10%
-    band is what absorbs runner noise, so re-imposing the raw floor on
-    every re-measurement would just double-count it.
-    """
-    problems = [
-        f"invariant {name} does not hold"
-        for name, ok in current["checks"].items()
-        # speedup_at_least_floor is the baseline's property (see above);
-        # every determinism/identity invariant must hold in the fresh run.
-        if not ok and name != "speedup_at_least_floor"
-    ]
-    if not baseline["checks"].get("speedup_at_least_floor", False):
-        problems.append(
-            "baseline does not demonstrate the "
-            f"{baseline.get('speedup_floor', SPEEDUP_FLOOR)}x speedup floor"
-        )
-    base_rows = dict(baseline["rows"])
-    for name, row in current["rows"].items():
-        expected = base_rows.pop(name, None)
-        if expected is None:
-            problems.append(f"row {name} missing from the baseline")
-            continue
-        diff = [
-            field
-            for field in expected
-            if field in row and row[field] != expected[field]
-        ]
-        if diff:
-            problems.append(f"row {name} diverged on {', '.join(diff)}")
-    for name in base_rows:
-        problems.append(f"baseline row {name} missing from the current run")
-    current_speedup = current["aggregate"]["speedup"]
-    baseline_speedup = baseline["aggregate"]["speedup"]
-    floor = baseline_speedup * (1.0 - tolerance)
-    if current_speedup < floor:
-        problems.append(
-            f"kernel speedup {current_speedup:.2f}x fell below "
-            f"{floor:.2f}x (baseline {baseline_speedup:.2f}x - {tolerance:.0%})"
-        )
-    if problems:
-        return False, "; ".join(problems)
-    return True, (
-        f"{len(current['rows'])} timed rows bit-identical; kernel dispatch "
-        f"{current_speedup:.2f}x the stepwise reference "
-        f"({current['aggregate']['events_per_s']:,.0f} events/s)"
-    )
 
 
 def _format_summary(payload: dict) -> str:
@@ -448,59 +364,25 @@ def _format_summary(payload: dict) -> str:
             f"avg_resp={row['avg_response_time']:.6f}s "
             f"requests={row['total_requests']}"
         )
-    for name, ok in payload["checks"].items():
-        lines.append(f"check {name}: {'ok' if ok else 'FAILED'}")
     return "\n".join(lines)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-kernel-bench", description=__doc__.splitlines()[0]
-    )
-    parser.add_argument("--out", help="write the BENCH_kernel.json payload here")
-    parser.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare against a committed BENCH_kernel.json; exit 1 on "
-        "any invariant failure, row drift, or speedup regression",
-    )
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--errors", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed relative speedup regression vs the baseline",
-    )
-    args = parser.parse_args(argv)
-
-    payload = run_kernel_bench(
-        rounds=args.rounds, n_errors=args.errors, seed=args.seed
-    )
-    emit(_format_summary(payload))
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        emit(f"wrote {out}")
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text(encoding="utf-8"))
-        ok, message = compare_to_baseline(
-            payload, baseline, tolerance=args.tolerance
-        )
-        emit(("PASS: " if ok else "FAIL: ") + message)
-        return 0 if ok else 1
-    if args.out and not all(payload["checks"].values()):
-        # A new baseline must demonstrate every invariant *and* the
-        # absolute speedup floor; the file is still written so the
-        # failing measurement can be inspected.
-        emit("FAIL: payload does not satisfy its own checks")
-        return 1
-    return 0
+#: Rows are virtual time, so they compare bit-exactly, with no tolerance.
+#: The speedup is a ratio of two timings from one run, so it transfers
+#: across machines, but a shared runner still jitters it by a few
+#: percent: the absolute :data:`SPEEDUP_FLOOR` binds the committed
+#: baseline (a fresh ``--out`` payload below it exits 1), and a re-run is
+#: held to the baseline's ratio minus the harness tolerance, which is the
+#: band that absorbs runner noise.
+GATE = perf.Gate(
+    run=run_kernel_bench,
+    summary=_format_summary,
+    rows=lambda payload: payload["rows"],
+    ratio_floors=("speedup",),
+    baseline_checks=("speedup_at_least_floor",),
+    rounds=3,
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(perf.main(GATE))

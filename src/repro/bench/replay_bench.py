@@ -8,7 +8,7 @@ per-point :func:`~repro.engine.simulate_trace`, on one core, for every
 code family — and through the :class:`~repro.engine.vector.VectorFleet`
 on every cell, the third timing axis.  The resulting
 ``BENCH_replay.json`` is committed as the perf baseline; CI re-runs the
-bench and fails when
+bench (:data:`GATE`, through :mod:`repro.bench.perf`) and fails when
 
 * the measured speedup (batched *or* numpy) falls more than 10%
   below the committed baseline (each is a ratio of two single-core
@@ -16,7 +16,10 @@ bench and fails when
   machine-independent), or
 * any row differs between the paths — the equivalence contract — or
 * the SHARDS-sampled stack-distance profile strays more than the
-  committed absolute hit-ratio error bound from the exact Fenwick one.
+  committed absolute hit-ratio error bound from the exact Fenwick one, or
+* with ``--time-tolerance``, the batched plus per-point seconds, summed,
+  exceed the baseline's sum by more than that fraction (raw seconds are
+  machine-dependent, so only same-machine runs opt in).
 
 A separate identity sweep covers *every* registry policy (including the
 stepped-only ones) and both states of the LRU stack-distance lever, at a
@@ -29,13 +32,10 @@ or ``--check benchmarks/BENCH_replay.json`` for the CI gate.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Sequence
 
-from ..cache.registry import available_policies
+from ..cache.registry import PAPER_BASELINES, available_policies
 from ..engine import (
     PlanCache,
     SampledStackDistanceProfile,
@@ -46,17 +46,10 @@ from ..engine import (
     simulate_trace,
 )
 from ..engine.stream import ReplayConfig, _replay_vector_rows
-from ..obs import emit
-from .engine import _git_rev
-from ..cache.registry import PAPER_BASELINES
+from . import perf
 from .experiments import FULL
 
-__all__ = [
-    "DEFAULT_CODES",
-    "ReplayGroupResult",
-    "run_replay_bench",
-    "compare_to_baseline",
-]
+__all__ = ["DEFAULT_CODES", "GATE", "ReplayGroupResult", "run_replay_bench"]
 
 #: One representative geometry per code family (Figure 8's five codes).
 DEFAULT_CODES = (
@@ -96,16 +89,6 @@ class ReplayGroupResult:
     @property
     def numpy_speedup(self) -> float:
         return self.per_point_s / self.numpy_s if self.numpy_s > 0 else 0.0
-
-
-def _best_of(fn, rounds: int) -> float:
-    """Min-of-N wall time: the stable estimator for short loops."""
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _bench_group(
@@ -155,14 +138,17 @@ def _bench_group(
     reference = per_point()
     identical = batched() == reference
     numpy_identical = vectored() == reference
+    batched_s, per_point_s, numpy_s = perf.best_of(
+        rounds, batched, per_point, vectored
+    )
     return ReplayGroupResult(
         code=backend.code_label,
         p=p,
         n_configs=len(configs),
-        batched_s=_best_of(batched, rounds),
-        per_point_s=_best_of(per_point, rounds),
+        batched_s=batched_s,
+        per_point_s=per_point_s,
         rows_identical=identical,
-        numpy_s=_best_of(vectored, rounds),
+        numpy_s=numpy_s,
         numpy_rows_identical=numpy_identical,
     )
 
@@ -294,7 +280,6 @@ def run_replay_bench(
     n_errors: int = 400,
     seed: int = 42,
     rounds: int = 2,
-    verify_all_policies: bool = True,
 ) -> dict:
     """Run the replay microbench and return the BENCH_replay payload."""
     if capacities is None:
@@ -311,7 +296,7 @@ def run_replay_bench(
     payload: dict = {
         "schema": 1,
         "kind": "replay-microbench",
-        "git_rev": _git_rev(),
+        **perf.stamp(),
         "workers": workers,
         "n_errors": n_errors,
         "seed": seed,
@@ -331,86 +316,22 @@ def run_replay_bench(
             "numpy_speedup": per_point_s / numpy_s if numpy_s > 0 else 0.0,
         },
     }
-    if verify_all_policies:
-        payload["identity"] = _verify_identity(codes)
+    payload["identity"] = _verify_identity(codes)
     payload["shards"] = _shards_check(codes, 10 * n_errors, seed)
     return payload
 
 
-def compare_to_baseline(
-    current: dict,
-    baseline: dict,
-    tolerance: float = 0.10,
-    time_tolerance: float | None = None,
-) -> tuple[bool, str]:
-    """CI gate: speedup within ``tolerance`` of the committed baseline.
-
-    Speedups are ratios of two timings from the *same* machine and run,
-    so comparing them across machines is sound where raw seconds are not.
-
-    ``time_tolerance`` additionally gates the *aggregate wall time*
-    (batched + per-point seconds) against the baseline's — the obs
-    overhead contract (instrumentation disabled must cost nothing).  Raw
-    seconds are machine-dependent, so this gate only makes sense when
-    baseline and current ran on comparable hardware; it is off by
-    default and opted into by CI with ``--time-tolerance``.
-    """
-    problems: list[str] = []
-    for group in current["groups"]:
-        if not group["rows_identical"]:
-            problems.append(
-                f"{group['code']}: batched rows differ from per-point rows"
-            )
-        if group.get("numpy_rows_identical") is False:
-            problems.append(
-                f"{group['code']}: numpy rows differ from per-point rows"
-            )
-    identity = current.get("identity")
-    if identity is not None:
-        if not identity["rows_identical"]:
-            problems.append("identity sweep: grid pass diverged from per-point")
-        if not identity["lru_fast_path_identical"]:
-            problems.append("identity sweep: LRU stack-distance path diverged")
-    current_speedup = current["aggregate"]["speedup"]
-    baseline_speedup = baseline["aggregate"]["speedup"]
-    floor = baseline_speedup * (1.0 - tolerance)
-    if current_speedup < floor:
-        problems.append(
-            f"aggregate speedup {current_speedup:.2f}x fell below "
-            f"{floor:.2f}x (baseline {baseline_speedup:.2f}x - {tolerance:.0%})"
-        )
-    cur_np = current["aggregate"].get("numpy_speedup")
-    base_np = baseline["aggregate"].get("numpy_speedup")
-    if cur_np is not None and base_np:
-        np_floor = base_np * (1.0 - tolerance)
-        if cur_np < np_floor:
-            problems.append(
-                f"numpy speedup {cur_np:.2f}x fell below {np_floor:.2f}x "
-                f"(baseline {base_np:.2f}x - {tolerance:.0%})"
-            )
-    shards = current.get("shards")
-    if shards is not None and not shards["within_bound"]:
-        problems.append(
-            f"SHARDS error {shards['max_abs_hit_ratio_err']:.4f} exceeds "
-            f"the {shards['bound']:.2f} absolute hit-ratio bound"
-        )
-    if time_tolerance is not None:
-        current_s = current["aggregate"]["batched_s"] + current["aggregate"]["per_point_s"]
-        baseline_s = (
-            baseline["aggregate"]["batched_s"] + baseline["aggregate"]["per_point_s"]
-        )
-        ceiling = baseline_s * (1.0 + time_tolerance)
-        if current_s > ceiling:
-            problems.append(
-                f"aggregate time {current_s:.2f}s exceeds {ceiling:.2f}s "
-                f"(baseline {baseline_s:.2f}s + {time_tolerance:.0%})"
-            )
-    if problems:
-        return False, "; ".join(problems)
-    return True, (
-        f"speedup {current_speedup:.2f}x vs baseline "
-        f"{baseline_speedup:.2f}x (tolerance {tolerance:.0%})"
-    )
+def _checks(payload: dict) -> dict[str, bool]:
+    """Every replay path equals per-point, and SHARDS stays in bound."""
+    checks = {}
+    for g in payload["groups"]:
+        checks[f"{g['code']}_rows_identical"] = g["rows_identical"]
+        checks[f"{g['code']}_numpy_rows_identical"] = g["numpy_rows_identical"]
+    identity = payload["identity"]
+    checks["identity_rows_identical"] = identity["rows_identical"]
+    checks["identity_lru_fast_path_identical"] = identity["lru_fast_path_identical"]
+    checks["shards_within_bound"] = payload["shards"]["within_bound"]
+    return checks
 
 
 def _format_summary(payload: dict) -> str:
@@ -424,8 +345,6 @@ def _format_summary(payload: dict) -> str:
             f"{g['batched_s']:>8.2f}s {g['per_point_s']:>8.2f}s "
             f"{g['speedup']:>7.2f}x "
             f"{g['numpy_s']:>8.2f}s {g['numpy_speedup']:>7.2f}x"
-            + ("" if g["rows_identical"] else "  ROWS DIVERGED")
-            + ("" if g["numpy_rows_identical"] else "  NUMPY ROWS DIVERGED")
         )
     agg = payload["aggregate"]
     lines.append(
@@ -433,62 +352,26 @@ def _format_summary(payload: dict) -> str:
         f"{agg['per_point_s']:>8.2f}s {agg['speedup']:>7.2f}x "
         f"{agg['numpy_s']:>8.2f}s {agg['numpy_speedup']:>7.2f}x"
     )
-    shards = payload.get("shards")
-    if shards is not None:
-        verdict = "OK" if shards["within_bound"] else "EXCEEDED"
-        lines.append(
-            f"SHARDS @ rate={shards['rate']:g}: max |hit-ratio err| = "
-            f"{shards['max_abs_hit_ratio_err']:.5f} "
-            f"(bound {shards['bound']:.2f}: {verdict})"
-        )
+    shards = payload["shards"]
+    lines.append(
+        f"SHARDS @ rate={shards['rate']:g}: max |hit-ratio err| = "
+        f"{shards['max_abs_hit_ratio_err']:.5f} (bound {shards['bound']:.2f})"
+    )
     return "\n".join(lines)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-replay-bench", description=__doc__.splitlines()[0]
-    )
-    parser.add_argument("--out", help="write the BENCH_replay.json payload here")
-    parser.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare against a committed BENCH_replay.json; exit 1 on "
-        "row divergence or >10%% speedup regression",
-    )
-    parser.add_argument("--rounds", type=int, default=2)
-    parser.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="allowed fractional speedup regression for --check (default 0.10)",
-    )
-    parser.add_argument(
-        "--time-tolerance", type=float, default=None, metavar="FRACTION",
-        help="also gate aggregate wall time against the baseline's "
-        "(the obs zero-overhead contract; off by default because raw "
-        "seconds are machine-dependent)",
-    )
-    args = parser.parse_args(argv)
-
-    payload = run_replay_bench(rounds=args.rounds)
-    emit(_format_summary(payload))
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        emit(f"wrote {out}")
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text(encoding="utf-8"))
-        ok, message = compare_to_baseline(
-            payload,
-            baseline,
-            tolerance=args.tolerance,
-            time_tolerance=args.time_tolerance,
-        )
-        emit(("PASS: " if ok else "FAIL: ") + message)
-        return 0 if ok else 1
-    return 0
+#: The time ceiling holds the batched and per-point seconds *summed*, the
+#: whole pass that the obs zero-overhead contract (instrumentation off
+#: costs nothing) is about; neither axis has a ceiling of its own.
+GATE = perf.Gate(
+    run=run_replay_bench,
+    summary=_format_summary,
+    checks=_checks,
+    ratio_floors=("speedup", "numpy_speedup"),
+    seconds=(("batched_s", "per_point_s"),),
+    rounds=2,
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(perf.main(GATE))

@@ -8,8 +8,8 @@ for completeness: :class:`LRUKCache`, :class:`TwoQCache`,
 :func:`make_policy("fbf", ...) <make_policy>`.
 """
 
+from ..core.policy import CachePolicy, CacheStats, SimpleCachePolicy
 from .arc import ARCCache
-from .base import CachePolicy, CacheStats, SimpleCachePolicy
 from .fbr import FBRCache
 from .fifo import FIFOCache
 from .lfu import LFUCache

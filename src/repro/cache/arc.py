@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Sequence
 
-from .base import CachePolicy, Key
+from ..core.policy import CachePolicy, Key
 
 __all__ = ["ARCCache"]
 

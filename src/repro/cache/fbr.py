@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .base import Key, SimpleCachePolicy
+from ..core.policy import Key, SimpleCachePolicy
 
 __all__ = ["FBRCache"]
 

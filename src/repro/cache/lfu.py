@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Sequence
 
-from .base import Key, SimpleCachePolicy
+from ..core.policy import Key, SimpleCachePolicy
 
 __all__ = ["LFUCache"]
 

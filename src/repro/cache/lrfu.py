@@ -15,7 +15,7 @@ the test oracle trivial).
 from __future__ import annotations
 
 
-from .base import Key, SimpleCachePolicy
+from ..core.policy import Key, SimpleCachePolicy
 
 __all__ = ["LRFUCache"]
 

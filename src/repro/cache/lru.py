@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Sequence
 
-from .base import Key, SimpleCachePolicy
+from ..core.policy import Key, SimpleCachePolicy
 
 __all__ = ["LRUCache"]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 
-from .base import Key, SimpleCachePolicy
+from ..core.policy import Key, SimpleCachePolicy
 
 __all__ = ["LRUKCache"]
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..core.policy import CachePolicy
 from .arc import ARCCache
-from .base import CachePolicy
 from .fbr import FBRCache
 from .fifo import FIFOCache
 from .lfu import LFUCache

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .base import CachePolicy, Key
+from ..core.policy import CachePolicy, Key
 
 __all__ = ["TwoQCache"]
 

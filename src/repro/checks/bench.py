@@ -5,14 +5,16 @@ an unchanged tree analyzes zero files, so ``repro-fbf check`` in a
 pre-commit hook or editor loop costs file-stat time, not re-parse time.
 This bench measures both runs over the real ``src`` tree and writes a
 ``BENCH_simlint.json`` payload; the committed copy in ``benchmarks/`` is
-the perf baseline, gated in CI exactly like the grid-replay bench:
+the perf baseline, gated in CI by :data:`GATE` through the bench layer's
+harness (:mod:`repro.bench.perf`), like the grid-replay bench:
 
-* the warm run must analyze **zero** files (the functional half);
-* the cold/warm *speedup ratio* must stay within tolerance of the
-  committed baseline (ratios of two timings from the same machine and
-  run, so the gate is machine-independent);
-* optionally (``--time-tolerance``) the raw wall times too, for
-  same-machine comparisons.
+* the warm run must analyze **zero** files (the functional half), and
+  the tree must have no unbaselined errors;
+* the cold/warm *speedup ratio* must stay within 10% of the committed
+  baseline (ratios of two timings from the same machine and run, so the
+  gate is machine-independent);
+* optionally (``--time-tolerance``) the raw cold and warm wall times
+  too, each against its own ceiling, for same-machine comparisons.
 
 Run directly: ``python -m repro.checks.bench --out BENCH_simlint.json``
 or ``--check benchmarks/BENCH_simlint.json`` for the CI gate.
@@ -20,30 +22,17 @@ or ``--check benchmarks/BENCH_simlint.json`` for the CI gate.
 
 from __future__ import annotations
 
-import json
 import tempfile
-import time
 from pathlib import Path
 from typing import Sequence
 
-from ..bench.engine import _git_rev
-from ..obs import emit
+from ..bench import perf
 from .baseline import default_baseline_path
 from .engine import CheckSettings, discover_usage_roots, run_engine
 from .program_rules import ALL_PROGRAM_RULES
 from .rules import ALL_RULES
 
-__all__ = ["run_simlint_bench", "compare_to_baseline"]
-
-
-def _best_of(fn, rounds: int) -> float:
-    """Min-of-N wall time: the stable estimator for short loops."""
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+__all__ = ["GATE", "run_simlint_bench"]
 
 
 def run_simlint_bench(
@@ -73,15 +62,14 @@ def run_simlint_bench(
         def warm() -> None:
             last["warm"] = run_engine(settings)
 
-        cold_s = _best_of(cold, rounds)  # leaves a fresh cache behind
-        warm_s = _best_of(warm, rounds)
+        cold_s, warm_s = perf.best_of(rounds, cold, warm)
         cold_outcome = last["cold"]
         warm_outcome = last["warm"]
 
     return {
         "schema": 1,
         "kind": "simlint-microbench",
-        "git_rev": _git_rev(),
+        **perf.stamp(),
         "paths": list(paths),
         "rounds": rounds,
         "jobs": jobs,
@@ -99,52 +87,12 @@ def run_simlint_bench(
     }
 
 
-def compare_to_baseline(
-    current: dict,
-    baseline: dict,
-    tolerance: float = 0.10,
-    time_tolerance: float | None = None,
-) -> tuple[bool, str]:
-    """CI gate, shaped like the replay bench's.
-
-    Always enforced: the warm run analyzed zero files and the tree has
-    zero unbaselined errors (functional regressions dressed up as perf).
-    The cold/warm speedup must stay within ``tolerance`` of the
-    baseline's; ``time_tolerance`` additionally gates raw wall times for
-    same-machine comparisons (off by default — raw seconds are
-    machine-dependent, ratios are not).
-    """
-    problems: list[str] = []
-    if current["files_analyzed_warm"] != 0:
-        problems.append(
-            f"warm cache re-analyzed {current['files_analyzed_warm']} files "
-            "(expected 0: the cache contract is broken)"
-        )
-    if current["errors"]:
-        problems.append(f"{current['errors']} unbaselined errors in the tree")
-    current_speedup = current["aggregate"]["speedup"]
-    baseline_speedup = baseline["aggregate"]["speedup"]
-    floor = baseline_speedup * (1.0 - tolerance)
-    if current_speedup < floor:
-        problems.append(
-            f"cold/warm speedup {current_speedup:.1f}x fell below "
-            f"{floor:.1f}x (baseline {baseline_speedup:.1f}x - {tolerance:.0%})"
-        )
-    if time_tolerance is not None:
-        for key in ("cold_s", "warm_s"):
-            ceiling = baseline["aggregate"][key] * (1.0 + time_tolerance)
-            if current["aggregate"][key] > ceiling:
-                problems.append(
-                    f"{key} {current['aggregate'][key]:.3f}s exceeds "
-                    f"{ceiling:.3f}s (baseline + {time_tolerance:.0%})"
-                )
-    if problems:
-        return False, "; ".join(problems)
-    return True, (
-        f"cold {current['aggregate']['cold_s']:.2f}s, warm "
-        f"{current['aggregate']['warm_s']:.2f}s ({current_speedup:.1f}x; "
-        f"baseline {baseline_speedup:.1f}x, tolerance {tolerance:.0%})"
-    )
+def _checks(payload: dict) -> dict[str, bool]:
+    """The warm cache contract, and a tree with no unbaselined errors."""
+    return {
+        "warm_run_analyzed_nothing": payload["files_analyzed_warm"] == 0,
+        "no_unbaselined_errors": payload["errors"] == 0,
+    }
 
 
 def _format_summary(payload: dict) -> str:
@@ -157,54 +105,17 @@ def _format_summary(payload: dict) -> str:
     )
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-simlint-bench", description=__doc__.splitlines()[0]
-    )
-    parser.add_argument("--out", help="write the BENCH_simlint.json payload here")
-    parser.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare against a committed BENCH_simlint.json; exit 1 on a "
-        "broken cache contract or a speedup regression",
-    )
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument(
-        "--paths", nargs="*", default=["src"],
-        help="trees to analyze (default: src)",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="allowed fractional speedup regression for --check (default 0.10)",
-    )
-    parser.add_argument(
-        "--time-tolerance", type=float, default=None, metavar="FRACTION",
-        help="also gate raw cold/warm wall times against the baseline's "
-        "(same-machine comparisons only; off by default)",
-    )
-    args = parser.parse_args(argv)
-
-    payload = run_simlint_bench(paths=args.paths, rounds=args.rounds)
-    emit(_format_summary(payload))
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        emit(f"wrote {out}")
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text(encoding="utf-8"))
-        ok, message = compare_to_baseline(
-            payload,
-            baseline,
-            tolerance=args.tolerance,
-            time_tolerance=args.time_tolerance,
-        )
-        emit(("PASS: " if ok else "FAIL: ") + message)
-        return 0 if ok else 1
-    return 0
+#: Each raw time has its own ceiling: a warm run that slows down is a
+#: cache regression even when the cold run got faster.
+GATE = perf.Gate(
+    run=run_simlint_bench,
+    summary=_format_summary,
+    checks=_checks,
+    ratio_floors=("speedup",),
+    seconds=(("cold_s",), ("warm_s",)),
+    rounds=3,
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(perf.main(GATE))

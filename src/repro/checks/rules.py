@@ -30,7 +30,7 @@ DET004     host parallelism must never parameterise a simulation:
            only, or results would differ per machine
 POL001     no mutable class-level state (list/dict/set defaults) on cache
            policy modules — shared across instances, breaks run isolation
-POL002     every ``CachePolicy`` subclass implements the ``base.py``
+POL002     every ``CachePolicy`` subclass implements the ``core/policy.py``
            interface exactly: a non-abstract ``name``, the required
            methods, and the ``request(self, key, priority=None)`` signature
 GF2001     GF(2)/XOR purity in ``repro/codes``: no true division and no
@@ -493,7 +493,7 @@ class UnorderedStateRule(Rule):
     rule_id = "DET003"
     summary = "cache/kernel instance state must be insertion-ordered, not a set"
     scopes = ("repro/cache/", "repro/core/", "repro/sim/kernel.py", "repro/engine/")
-    excludes = ("repro/cache/base.py", "repro/core/policy.py")
+    excludes = ("repro/core/policy.py",)
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Violation]:
         for node in ast.walk(tree):
@@ -561,12 +561,12 @@ class MutableClassStateRule(Rule):
 
 
 class PolicyInterfaceRule(Rule):
-    """POL002: structural conformance of every policy to ``base.py``."""
+    """POL002: structural conformance of every policy to ``core/policy.py``."""
 
     rule_id = "POL002"
-    summary = "CachePolicy subclasses must match the base.py interface exactly"
+    summary = "CachePolicy subclasses must match the core/policy.py interface exactly"
     scopes = ("repro/cache/", "repro/core/", "repro/engine/")
-    excludes = ("repro/cache/base.py", "repro/core/policy.py")
+    excludes = ("repro/core/policy.py",)
 
     _REQUIRED = {
         "CachePolicy": ("request", "__contains__", "__len__", "_clear"),

@@ -32,8 +32,8 @@ FBF check is O(cache size) per request; tests switch them on.
 from __future__ import annotations
 
 
-from ..cache.base import CachePolicy, Key
 from ..core.fbf_cache import FBFCache
+from ..core.policy import CachePolicy, Key
 from ..sim.kernel import Environment
 
 __all__ = ["InvariantViolation", "SimSanitizer", "SanitizedEnvironment"]

@@ -99,11 +99,6 @@ def _add_engine_flags(p: argparse.ArgumentParser, default_workers: str = "auto")
         help="disable the persistent result cache",
     )
     p.add_argument(
-        "--no-batch", action="store_true",
-        help="disable single-pass group replay; compute every hit-ratio "
-             "cell through the per-point golden path",
-    )
-    p.add_argument(
         "--stackdist", choices=("exact", "sampled"), default="exact",
         help="plain-LRU stack-distance profile: exact Fenwick or SHARDS "
              "sampling at --shards-rate (approximate rows, O(sample) "
@@ -434,7 +429,6 @@ def _engine_config(
     return EngineConfig(
         workers=workers,
         cache_dir=cache_dir,
-        batch=not args.no_batch,
         stackdist=getattr(args, "stackdist", "exact"),
         shards_rate=getattr(args, "shards_rate", 0.01),
     )

@@ -2,8 +2,7 @@
 
 Lives in ``repro.core`` (layer 0) so both the concrete policies in
 ``repro.cache`` and FBF itself in ``repro.core.fbf_cache`` can depend on
-it without an upward import; ``repro.cache.base`` re-exports it for the
-historical import path.
+it without an upward import; ``repro.cache`` re-exports the classes.
 
 A policy manages a fixed number of *block slots* (capacity counted in
 chunks, matching the paper's cache-size axis divided by the 32 KB chunk

@@ -40,8 +40,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..cache.base import CachePolicy
 from ..cache.registry import make_policy
+from ..core.policy import CachePolicy
 from ..obs import runtime as _obs
 from .backend import CodeBackend, make_priority_model
 from .stackdist import SampledStackDistanceProfile, StackDistanceProfile

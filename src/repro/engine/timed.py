@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from ..cache.base import CachePolicy
+from ..core.policy import CachePolicy
 from .backend import CodeBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

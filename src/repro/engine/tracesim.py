@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import cycle
 from typing import Any, Callable, Hashable, Sequence
 
-from ..cache.base import CachePolicy
 from ..cache.registry import make_policy
+from ..core.policy import CachePolicy
 from ..obs import runtime as _obs
 from .backend import CodeBackend, EnginePlan, make_priority_model
 

@@ -30,8 +30,9 @@ for itself).
 
 The overhead contract: with obs **disabled** (the default), instrumented
 hot paths pay one module-attribute truth test per coarse operation —
-``repro.bench.replay_bench`` rows stay bit-identical and its aggregate
-wall time stays within 2% of the committed baseline (the CI gate).
+``repro.bench.replay_bench`` rows stay bit-identical and its batched
+plus per-point wall time, summed, stays within 2% of the committed
+baseline (the CI gate, run through :mod:`repro.bench.perf`).
 """
 
 from __future__ import annotations

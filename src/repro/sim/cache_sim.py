@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
-from ..cache.base import CachePolicy
 from ..codes.layout import Cell
+from ..core.policy import CachePolicy
 from .array import DiskArray
 from .kernel import Environment
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Sequence
 
-from ..cache.base import CachePolicy
 from ..codes.layout import CodeLayout
+from ..core.policy import CachePolicy
 from ..core.scheme import SchemeMode
 from ..utils import parse_size
 from .array import ArrayGeometry, DiskArray, FlatGeometry

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..cache.base import CachePolicy
 from ..codes.layout import CodeLayout
+from ..core.policy import CachePolicy
 from ..core.priorities import PriorityDictionary
 from ..core.scheme import RecoveryPlan, SchemeMode
 from ..engine.backends import XORBackend

@@ -304,9 +304,11 @@ class TestBenchJson:
         for key in (
             "schema", "experiment", "scale", "wall_s", "n_points", "workers",
             "cache_hits", "cache_misses", "speedup_estimate", "per_point",
-            "engine_version", "git_rev",
+            "engine_version", "git_rev", "manifest",
         ):
             assert key in payload
+        assert payload["manifest"]["git_rev"] == payload["git_rev"]
+        assert {"python", "numpy", "cpu_model", "nproc"} <= set(payload["manifest"])
         assert payload["serial_identical"] is True
         assert len(payload["per_point"]) == 2
         path = write_bench_json(tmp_path / "BENCH_fig9.json", "fig9", "quick", result)

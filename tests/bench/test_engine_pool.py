@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
-from repro.bench import EngineConfig, Scale, experiment_grid, rows_equivalent, run_grid
-from repro.bench.engine import EnginePool
+from repro.bench import EngineConfig, Scale, engine, experiment_grid, rows_equivalent, run_grid
+from repro.bench.engine import EnginePool, EngineWorkerError
 
 TINY = Scale(
     n_errors=6,
@@ -56,3 +61,47 @@ class TestRunGridReuse:
         assert rows_equivalent(pooled_b.points, serial_b.points)
         # the pool's fan-out, not the EngineConfig's, is what actually ran
         assert pooled_a.workers == 2
+
+
+_TIMED_TASK = engine._timed_task
+
+
+def _die_on_star(points, replay=("exact", 0.01)):
+    """A pool task that kills its worker process on STAR cells."""
+    if points[0].code == "star":
+        os._exit(1)
+    return _TIMED_TASK(points, replay)
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux"
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="patching the task needs forked workers",
+)
+class TestDeadWorker:
+    # STAR's group is the grid's first task, so it is the first without a
+    # result whichever order the two workers finish in.
+    GRID = experiment_grid("fig8", Scale(
+        n_errors=6, workers=2, cache_mbs=(0.25,), seed=5,
+        codes=("star", "tip"), ps_main=(5,),
+    ))
+    FORKED = EngineConfig(workers=2, start_method="fork")
+
+    def test_error_names_the_point_and_the_pool_recovers(self, monkeypatch):
+        monkeypatch.setattr(engine, "_timed_task", _die_on_star)
+        with EnginePool(workers=2, start_method="fork") as pool:
+            with pytest.raises(EngineWorkerError) as info:
+                run_grid(self.GRID, self.FORKED, pool=pool)
+            assert isinstance(info.value.__cause__, BrokenProcessPool)
+            assert "fig8 star p=5 fifo 0.25 MB" in str(info.value)
+            assert "of 2 tasks unfinished" in str(info.value)
+            assert not pool.active  # the broken executor was dropped
+            monkeypatch.undo()
+            pooled = run_grid(self.GRID, self.FORKED, pool=pool)
+        serial = run_grid(self.GRID, EngineConfig(workers=0))
+        assert rows_equivalent(pooled.points, serial.points)
+
+    def test_grid_without_a_pool_names_the_point(self, monkeypatch):
+        monkeypatch.setattr(engine, "_timed_task", _die_on_star)
+        with pytest.raises(EngineWorkerError, match="fig8 star p=5"):
+            run_grid(self.GRID, self.FORKED)

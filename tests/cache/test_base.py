@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache import LRUCache, make_policy
-from repro.cache.base import CacheStats
+from repro.core.policy import CacheStats
 
 
 class TestCacheStats:

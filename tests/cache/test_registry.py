@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.cache.base import CachePolicy
 from repro.cache.registry import (
     PAPER_BASELINES,
     POLICIES,
     available_policies,
     make_policy,
 )
+from repro.core.policy import CachePolicy
 
 
 class TestLookup:

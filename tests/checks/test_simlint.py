@@ -452,7 +452,7 @@ class TestEngineScopes:
 
     def test_policy_conformance_in_engine_scope(self):
         violations = lint_snippet(
-            "from repro.cache.base import CachePolicy\n\n"
+            "from repro.core.policy import CachePolicy\n\n"
             "class Rogue(CachePolicy):\n    name = 'rogue'\n",
             "src/repro/engine/broken.py",
         )

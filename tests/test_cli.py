@@ -47,6 +47,13 @@ class TestParser:
                     [*command, "--replay-backend", "numpy"]
                 )
 
+    def test_rejects_no_batch(self):
+        # --no-batch is gone too: --check-serial builds its own
+        # batch=False config for the per-point golden run.
+        for command in (["bench", "fig8"], ["obs", "fig8"], ["report"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*command, "--no-batch"])
+
 
 class TestInfo:
     def test_prints_layout(self, capsys):
