@@ -27,8 +27,11 @@ Three layers keep repeated runs cheap:
   replayed together through :func:`~repro.engine.stream.
   simulate_grid_pass`: the request stream is decoded and interned once
   and every (policy x capacity) cell steps over it, bit-for-bit equal to
-  the per-point rows (``EngineConfig.batch=False``, which the CLI's
-  ``--check-serial`` golden run uses, restores the per-point path);
+  the per-point rows; timed (``des``) cells sharing a trace replay on the
+  exact fork-join model of :mod:`repro.engine.forkjoin`, equal to the DES
+  in every simulated column (``EngineConfig.batch=False``, which the
+  CLI's ``--check-serial`` golden run uses, restores the per-point path
+  and the DES);
 * **process-pool fan-out** — ``workers="auto"`` uses ``os.cpu_count()``,
   ``workers=0`` is an in-process serial fallback for debugging.  The
   worker count only schedules work; it never parameterises a simulation
@@ -48,10 +51,14 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from ..obs import runtime as _obs
 from .perf import stamp, write_json
+
+if TYPE_CHECKING:  # annotation-only
+    from ..sim.reconstruction import ReconstructionReport, SimConfig
+    from .experiments import SweepPoint
 
 __all__ = [
     "ENGINE_CACHE_VERSION",
@@ -121,8 +128,9 @@ class EngineConfig:
     ``workers=0`` runs in-process (serial debugging fallback); ``"auto"``
     resolves to ``os.cpu_count()``.  ``cache_dir=None`` disables the
     persistent cache.  ``batch=False`` (the CLI's ``--check-serial``
-    golden run) disables single-pass group dispatch and computes every
-    cell through the per-point golden path.
+    golden run) disables group dispatch and computes every cell through
+    the per-point golden path: per-point replay, and the DES for timed
+    cells.
     """
 
     workers: int | str = 0
@@ -132,7 +140,9 @@ class EngineConfig:
     #: every method is safe.
     start_method: str | None = None
     #: replay hit-ratio cells of one (code, p, scheme, trace) group in a
-    #: single interned-stream pass (bit-for-bit equal to per-point rows).
+    #: single interned-stream pass (bit-for-bit equal to per-point rows),
+    #: and same-trace des cells on the fork-join replay (equal to the DES
+    #: in every simulated column).
     batch: bool = True
     #: plain-LRU stack-distance profile flavor: "exact" (Fenwick) or
     #: "sampled" (SHARDS at shards_rate — approximate rows, bounded
@@ -337,8 +347,8 @@ class EngineResult:
     ``plan_cache_hits``/``plan_cache_misses`` aggregate the in-memory
     :class:`~repro.engine.tracesim.PlanCache` memo deltas reported back
     by every compute task (summed across pool workers).  DES-kind points
-    build plans through the controller's private memo, so they contribute
-    zero here by construction.
+    plan privately (the controller's memo, or their fork-join group's own
+    cache), so they contribute zero here by construction.
     """
 
     points: "list[SweepPoint]"
@@ -540,16 +550,28 @@ def compute_point(point: GridPoint) -> "SweepPoint":
 
     # kind == "des": the full event-driven simulation (timing metrics).
     from ..engine.timed import run_timed_replay
+
+    rep = run_timed_replay(backend, events, _des_config(point))
+    if _obs.ENABLED:
+        _obs.counter("bench.des.kernel_rows").inc()
+    return _des_row(point, rep)
+
+
+def _des_config(point: GridPoint) -> "SimConfig":
     from ..sim.reconstruction import SimConfig
 
-    config = SimConfig(
+    return SimConfig(
         policy=point.policy,
         cache_size=int(point.cache_mb * 1024 * 1024),
         chunk_size=point.chunk_size,
         scheme_mode=point.scheme_mode,
         workers=point.sor_workers,
     )
-    rep = run_timed_replay(backend, events, config)
+
+
+def _des_row(point: GridPoint, rep: "ReconstructionReport") -> "SweepPoint":
+    from .experiments import SweepPoint
+
     return SweepPoint(
         experiment=point.experiment,
         code=rep.code,
@@ -578,18 +600,33 @@ def _group_key(point: GridPoint) -> tuple:
     return (point.code, point.p, point.scheme_mode, point.n_errors, point.seed)
 
 
+def _task_key(point: GridPoint) -> tuple:
+    """Points with equal keys are computed together by :func:`compute_group`.
+
+    A ``des`` group's fork-join skeleton also depends on the SOR worker
+    count and the chunk size.
+    """
+    if point.kind == "des":
+        return ("des", *_group_key(point), point.sor_workers, point.chunk_size)
+    return _group_key(point)
+
+
 def compute_group(
     points: "Sequence[GridPoint]",
     stackdist: str = "exact",
     shards_rate: float = 0.01,
 ) -> "list[SweepPoint]":
-    """Run a same-stream group of hit-ratio cells in one interned pass.
+    """Run a group of cells sharing :func:`_task_key` in one pass.
 
-    Every point must be ``kind="trace"`` or ``kind="demotion"`` and share
-    :func:`_group_key`.  Rows are returned in ``points`` order and are
-    bit-for-bit identical to :func:`compute_point` on each cell — the
-    equivalence the grid-pass property tests pin down.
+    Hit-ratio cells (``kind="trace"`` or ``"demotion"``) step over one
+    interned stream; ``des`` cells replay on the fork-join model
+    (:func:`_compute_des_group`).  Rows are returned in ``points`` order
+    and equal :func:`compute_point` on each cell in every simulated
+    column — the equivalence the grid-pass and fork-join differential
+    tests pin down.
     """
+    if points[0].kind == "des":
+        return _compute_des_group(points)
     from ..engine.stream import ReplayConfig, simulate_grid_pass
     from .experiments import SweepPoint
 
@@ -659,21 +696,53 @@ def compute_group(
     return rows
 
 
+def _compute_des_group(points: "Sequence[GridPoint]") -> "list[SweepPoint]":
+    """Same-trace ``des`` cells on the exact fork-join replay.
+
+    The task owns the group's :class:`~repro.engine.forkjoin.ForkJoinGroup`
+    and with it a fresh PlanCache, so Table IV's overhead still times one
+    build per distinct shape.  A cell the model does not cover runs the
+    DES through :func:`compute_point`.
+    """
+    # Imported here, inside the task: loading the bench engine stays cheap.
+    from ..engine.forkjoin import ForkJoinGroup, eligible
+
+    first = points[0]
+    configs = [_des_config(point) for point in points]
+    group = ForkJoinGroup(
+        _backend_for(first.code, first.p, first.scheme_mode),
+        _events_for(first.code, first.p, first.n_errors, first.seed),
+        configs[0],
+    )
+    rows = []
+    for point, config in zip(points, configs):
+        if group.has_reads and eligible(config):
+            rows.append(_des_row(point, group.run(config)))
+            if _obs.ENABLED:
+                _obs.counter("bench.des.fast_rows").inc()
+        else:
+            rows.append(compute_point(point))
+    return rows
+
+
 def _timed_task(
     points: "tuple[GridPoint, ...]",
     replay: "tuple[str, float]" = ("exact", 0.01),
+    batch: bool = True,
 ) -> "tuple[list[tuple[SweepPoint, float]], tuple[int, int]]":
-    """Pool entry point for a task: a same-stream group or a singleton.
+    """Pool entry point for a task: a group or a singleton.
 
-    Singletons go through the per-point golden path; larger groups take
-    the single-pass replay.  Group compute time is split evenly across
-    the group's cells so per-point timings stay additive.  The second
-    element is this task's plan-cache ``(hits, misses)`` delta — additive
-    across tasks and across pool workers, so the driver can surface the
-    memo's effectiveness without sharing state between processes.  It is
-    read off the one PlanCache the task's cells use (DES and cluster
-    cells plan privately and report zero), which stays in the one-group
-    memo for the whole task.
+    Singletons go through the per-point golden path, except that with
+    ``batch`` a ``des`` group of one still takes the fork-join replay;
+    larger groups take :func:`compute_group`.  Group compute time is
+    split evenly across the group's cells so per-point timings stay
+    additive.  The second element is this task's plan-cache ``(hits,
+    misses)`` delta — additive across tasks and across pool workers, so
+    the driver can surface the memo's effectiveness without sharing
+    state between processes.  It is read off the one PlanCache the
+    task's cells use (DES and cluster cells, and fork-join groups, plan
+    privately and report zero), which stays in the one-group memo for
+    the whole task.
     """
     first = points[0]
     plans = (
@@ -682,7 +751,7 @@ def _timed_task(
         else None
     )
     before = plans.counts() if plans is not None else (0, 0)
-    if len(points) == 1:
+    if len(points) == 1 and not (batch and first.kind == "des"):
         results = [_timed_point(first)]
     else:
         t0 = time.perf_counter()
@@ -708,13 +777,50 @@ def run_grid(
     ``on_progress(done, total)`` is called after every completed point.
     ``pool`` reuses a live :class:`EnginePool` executor instead of
     spawning one per call (its worker count overrides ``engine.workers``);
-    the pool outlives this call — the caller closes it.
+    the pool outlives this call — the caller closes it.  With obs on, a
+    grid that raises still closes its ``bench.run_grid`` span, tagged
+    with the exception class, and counts ``bench.grids.failed``.
     """
     engine = engine or EngineConfig()
     obs_on = _obs.ENABLED
-    if obs_on:
-        grid_span = _obs.span("bench.run_grid", {"points": len(points)})
-        grid_span.__enter__()
+    if not obs_on:
+        return _execute_grid(points, engine, on_progress, pool)
+    grid_span = _obs.span("bench.run_grid", {"points": len(points)})
+    grid_span.__enter__()
+    try:
+        result = _execute_grid(points, engine, on_progress, pool)
+        grid_span["result_cache_hits"] = result.cache_hits
+    except BaseException as exc:
+        grid_span["error"] = type(exc).__name__
+        _obs.counter("bench.grids.failed").inc()
+        raise
+    finally:
+        grid_span.__exit__(None, None, None)
+    _obs.counter("bench.grids").inc()
+    _obs.counter("bench.points").inc(len(points))
+    _obs.counter("bench.result_cache.hits").inc(result.cache_hits)
+    _obs.counter("bench.result_cache.misses").inc(result.cache_misses)
+    _obs.counter("bench.plan_cache.hits").inc(result.plan_cache_hits)
+    _obs.counter("bench.plan_cache.misses").inc(result.plan_cache_misses)
+    point_seconds = _obs.histogram("bench.point_seconds")
+    for t in result.timings:
+        if not t.cached:
+            point_seconds.observe(t.seconds)
+    _obs.gauge("bench.workers").set(result.workers)
+    if result.wall_s > 0:
+        _obs.gauge("bench.utilization").set(
+            result.compute_s / (result.wall_s * max(1, result.workers))
+        )
+    return result
+
+
+def _execute_grid(
+    points: Sequence[GridPoint],
+    engine: EngineConfig,
+    on_progress: Callable[[int, int], None] | None,
+    pool: EnginePool | None,
+) -> EngineResult:
+    """:func:`run_grid`'s body: result cache, task grouping, fan-out."""
     t_start = time.perf_counter()
     total = len(points)
     cache = (
@@ -757,19 +863,21 @@ def run_grid(
         misses = list(range(total))
     hits = total - len(misses)
 
-    # A task is a list of point indices computed together: hit-ratio
-    # cells sharing one decoded stream become a single-pass group when
-    # batching is on; everything else (and every cell with batch=False)
-    # is a singleton on the per-point golden path.
+    # A task is a list of point indices computed together: cells sharing
+    # one decoded stream (hit-ratio cells) or one trace and skeleton (des
+    # cells) become a group when batching is on; everything else (and
+    # every cell with batch=False) is a singleton on the per-point golden
+    # path.
     tasks: list[list[int]] = []
     if engine.batch:
         groups: dict[tuple, list[int]] = {}
         for i in misses:
             point = points[i]
-            if point.kind in ("trace", "demotion"):
-                group = groups.get(_group_key(point))
+            if point.kind in ("trace", "demotion", "des"):
+                key = _task_key(point)
+                group = groups.get(key)
                 if group is None:
-                    groups[_group_key(point)] = group = []
+                    groups[key] = group = []
                     tasks.append(group)
                 group.append(i)
             else:
@@ -796,7 +904,9 @@ def run_grid(
         for indices in tasks:
             record_task(
                 indices,
-                _timed_task(tuple(points[i] for i in indices), replay),
+                _timed_task(
+                    tuple(points[i] for i in indices), replay, engine.batch
+                ),
             )
     else:
         n_workers = min(n_workers, len(tasks))
@@ -806,7 +916,9 @@ def run_grid(
         finished = 0
         try:
             mapped = runner.map(
-                partial(_timed_task, replay=replay), todo, chunksize=chunksize
+                partial(_timed_task, replay=replay, batch=engine.batch),
+                todo,
+                chunksize=chunksize,
             )
             for indices, results in zip(tasks, mapped):
                 record_task(indices, results)
@@ -826,7 +938,7 @@ def run_grid(
     resolved = (
         pool.resolved_workers() if pool is not None else engine.resolved_workers()
     )
-    result = EngineResult(
+    return EngineResult(
         points=rows,
         wall_s=time.perf_counter() - t_start,
         workers=0 if resolved == 0 else n_workers,
@@ -836,25 +948,6 @@ def run_grid(
         plan_cache_hits=plan_hits,
         plan_cache_misses=plan_misses,
     )
-    if obs_on:
-        grid_span["result_cache_hits"] = hits
-        grid_span.__exit__(None, None, None)
-        _obs.counter("bench.grids").inc()
-        _obs.counter("bench.points").inc(total)
-        _obs.counter("bench.result_cache.hits").inc(hits)
-        _obs.counter("bench.result_cache.misses").inc(len(misses))
-        _obs.counter("bench.plan_cache.hits").inc(plan_hits)
-        _obs.counter("bench.plan_cache.misses").inc(plan_misses)
-        point_seconds = _obs.histogram("bench.point_seconds")
-        for t in result.timings:
-            if not t.cached:
-                point_seconds.observe(t.seconds)
-        _obs.gauge("bench.workers").set(result.workers)
-        if result.wall_s > 0:
-            _obs.gauge("bench.utilization").set(
-                result.compute_s / (result.wall_s * max(1, result.workers))
-            )
-    return result
 
 
 # -- BENCH report -------------------------------------------------------------

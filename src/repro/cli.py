@@ -141,7 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument(
         "--check-serial", action="store_true",
-        help="also run serially and fail if the outputs diverge",
+        help="also run every cell on the per-point golden path (batch=False: "
+             "per-point replay, and the DES for timed cells) and fail if any "
+             "simulated column diverges",
     )
     b.add_argument(
         "--show", action="store_true",
@@ -171,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument(
         "--no-kernel-probe", action="store_true",
         help="skip the small DES probe that feeds kernel-layer metrics "
-             "when the chosen grid has no event-simulation points",
+             "when the grid did not run the event kernel (hit-ratio grids, "
+             "and DES grids served by the fork-join replay)",
     )
 
     t = sub.add_parser("trace", help="generate a partial-stripe-error trace file")
@@ -690,11 +693,12 @@ def _run_advise(args: argparse.Namespace) -> int:
 def _kernel_probe(scale: Scale) -> None:
     """A small DES run so kernel-layer metrics are populated.
 
-    The hit-ratio grids never enter the event kernel; ``repro-fbf obs``
-    runs this probe (unless ``--no-kernel-probe``) so the summary's
-    kernel section reflects a real dispatch loop rather than ``(no
-    data)``.  The probe is tiny and fixed-shape; only the workload seed
-    follows the selected scale.
+    The hit-ratio grids never enter the event kernel, and the fork-join
+    replay serves the batched DES grids without it; ``repro-fbf obs``
+    runs this probe (unless ``--no-kernel-probe``) when a grid left no
+    ``kernel.runs``, so the summary's kernel section reflects a real
+    dispatch loop rather than ``(no data)``.  The probe is tiny and
+    fixed-shape; only the workload seed follows the selected scale.
     """
     from .engine import make_backend
     from .engine.timed import run_timed_replay
@@ -724,7 +728,7 @@ def _run_obs(args: argparse.Namespace) -> int:
     _reset_worker_state()
     registry = obs.enable(fresh=True)
     result = run_grid(grid, engine)
-    if not args.no_kernel_probe and not any(p.kind == "des" for p in grid):
+    if not args.no_kernel_probe and "kernel.runs" not in registry.snapshot()["counters"]:
         _kernel_probe(scale)
     obs.disable()
     emit(bench_summary(args.experiment, scale_name, result))

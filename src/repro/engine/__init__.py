@@ -25,6 +25,9 @@ four XOR 3DFT codes plus the LRC code plug in as adapters.
   stepped replay; the grid pass uses them for jobs wide enough to win.
 * :mod:`repro.engine.timed` — the timed replay:
   :func:`run_timed_replay`.
+* :mod:`repro.engine.forkjoin` — the exact fork-join replay of the timed
+  replay's default model, which the bench engine runs same-trace timed
+  cells on (the DES stays its reference).
 """
 
 from .backend import (

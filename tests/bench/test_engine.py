@@ -1,6 +1,7 @@
 """Tests for the parallel sweep engine (determinism contract + cache)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -156,13 +157,21 @@ class TestBatchedDispatch:
         parallel = run_grid(grid, EngineConfig(workers=4))
         assert golden.points == parallel.points
 
-    def test_des_points_stay_per_point(self):
-        # fig10 rows carry measured wall-clock columns; the event-driven
-        # simulation never joins a batch group but must still run.
-        grid = tiny_grid("fig10")
+    @pytest.mark.parametrize("experiment", ["fig10", "fig11", "table4"])
+    def test_des_groups_equal_the_des(self, experiment):
+        # Batched des groups replay on the fork-join model; batch=False
+        # runs the DES cell by cell.  The measured Table IV columns differ.
+        grid = tiny_grid(experiment)
         batched = run_grid(grid, SERIAL)
         golden = run_grid(grid, EngineConfig(workers=0, batch=False))
         assert rows_equivalent(batched.points, golden.points)
+
+    def test_pooled_des_groups_equal_the_des(self):
+        grid = experiment_grid("fig10", replace(TINY, codes=("tip", "star")))
+        golden = run_grid(grid, EngineConfig(workers=0, batch=False))
+        pooled = run_grid(grid, EngineConfig(workers=2))
+        assert pooled.workers == 2
+        assert rows_equivalent(pooled.points, golden.points)
 
     def test_batched_preserves_order_timings_and_progress(self):
         grid = tiny_grid("fig8")
@@ -314,3 +323,78 @@ class TestBenchJson:
         path = write_bench_json(tmp_path / "BENCH_fig9.json", "fig9", "quick", result)
         loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded["n_points"] == 2
+
+
+def _observed(grid, engine):
+    """Run ``grid`` with obs on; returns its result and the obs counters."""
+    from repro import obs
+
+    registry = obs.enable(fresh=True)
+    try:
+        result = run_grid(grid, engine)
+    finally:
+        obs.disable()
+    return result, registry.snapshot()["counters"]
+
+
+class TestDesObservability:
+    """The fork-join and DES cell counts add up to the des cells computed."""
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_counters_reconcile(self, batch):
+        grid = tiny_grid("fig10") + tiny_grid("fig8") + tiny_grid("table4")
+        n_des = sum(point.kind == "des" for point in grid)
+        _, counters = _observed(grid, EngineConfig(workers=0, batch=batch))
+        fast = counters.get("bench.des.fast_rows", 0)
+        kernel = counters.get("bench.des.kernel_rows", 0)
+        assert fast + kernel == n_des
+        assert (fast, kernel) == ((n_des, 0) if batch else (0, n_des))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"disk_model": "hdd"},
+            {"disk_scheduler": "scan"},
+            {"parallel_chain_reads": False},
+            {"sanitize": True},
+            {"verify_payloads": True},
+            {"response_quantiles": True},
+            {"respect_arrival_times": True},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_cells_outside_the_model_take_the_des(self, monkeypatch, change):
+        from repro.bench import engine
+
+        des_config = engine._des_config
+        monkeypatch.setattr(
+            engine, "_des_config", lambda point: replace(des_config(point), **change)
+        )
+        grid = tiny_grid("fig10")
+        batched, counters = _observed(grid, SERIAL)
+        assert counters["bench.des.kernel_rows"] == len(grid)
+        assert "bench.des.fast_rows" not in counters
+        golden = run_grid(grid, EngineConfig(workers=0, batch=False))
+        assert rows_equivalent(batched.points, golden.points)
+
+
+class TestFailedGridObs:
+    # Four SOR workers cannot split a one-block cache: the replay raises.
+    GRID = experiment_grid("fig8", replace(TINY, workers=4, cache_mbs=(0.03125,)))
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_a_failed_grid_closes_its_span_and_counts(self, batch):
+        from repro import obs
+
+        registry = obs.enable(fresh=True)
+        try:
+            with pytest.raises(ValueError, match="exceeds capacity_blocks"):
+                run_grid(self.GRID, EngineConfig(workers=0, batch=batch))
+        finally:
+            obs.disable()
+        snapshot = registry.snapshot()
+        assert snapshot["spans"]["bench.run_grid"]["count"] == 1
+        assert snapshot["counters"]["bench.grids.failed"] == 1
+        assert "bench.grids" not in snapshot["counters"]
+        [span] = [s for s in registry.spans if s.name == "bench.run_grid"]
+        assert span.attrs["error"] == "ValueError"

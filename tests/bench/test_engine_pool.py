@@ -66,11 +66,11 @@ class TestRunGridReuse:
 _TIMED_TASK = engine._timed_task
 
 
-def _die_on_star(points, replay=("exact", 0.01)):
+def _die_on_star(points, replay=("exact", 0.01), batch=True):
     """A pool task that kills its worker process on STAR cells."""
     if points[0].code == "star":
         os._exit(1)
-    return _TIMED_TASK(points, replay)
+    return _TIMED_TASK(points, replay, batch)
 
 
 @pytest.mark.skipif(
@@ -105,3 +105,17 @@ class TestDeadWorker:
         monkeypatch.setattr(engine, "_timed_task", _die_on_star)
         with pytest.raises(EngineWorkerError, match="fig8 star p=5"):
             run_grid(self.GRID, self.FORKED)
+
+    def test_a_dead_worker_is_recorded_in_obs(self, monkeypatch):
+        from repro import obs
+
+        monkeypatch.setattr(engine, "_timed_task", _die_on_star)
+        registry = obs.enable(fresh=True)
+        try:
+            with pytest.raises(EngineWorkerError):
+                run_grid(self.GRID, self.FORKED)
+        finally:
+            obs.disable()
+        assert registry.snapshot()["counters"]["bench.grids.failed"] == 1
+        [span] = [s for s in registry.spans if s.name == "bench.run_grid"]
+        assert span.attrs["error"] == "EngineWorkerError"

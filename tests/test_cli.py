@@ -194,6 +194,17 @@ class TestObsCommand:
         prom = (tmp_path / "obs.prom").read_text()
         assert "repro_bench_points" in prom
 
+    def test_des_grid_summary_shows_the_fast_path(self, capsys):
+        # The fork-join replay serves every fig10 cell without the kernel,
+        # so the probe must still fill the [kernel] section.
+        rc = main(["obs", "fig10", "--scale", "quick", "--errors", "6",
+                   "--workers", "2", "--cache-mbs", "0.25,1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "(no data)" not in out
+        assert "kernel.runs" in out
+        assert "bench.des.fast_rows" in out
+
     def test_no_kernel_probe(self, capsys):
         rc = main(["obs", "fig8", "--scale", "quick", "--errors", "6",
                    "--workers", "2", "--cache-mbs", "0.25,1",
