@@ -9,7 +9,7 @@ closest thing to "what a real array-decade of errors looks like".
 import pytest
 
 from repro.codes import make_code
-from repro.sim import PlanCache, simulate_cache_trace
+from repro.engine import PlanCache, XORBackend, simulate_trace
 from repro.workloads import FieldModel, generate_field_trace
 
 POLICIES = ("fifo", "lru", "lfu", "arc", "fbf")
@@ -25,12 +25,12 @@ def test_field_calibrated_comparison(benchmark, save_report):
         model=FieldModel(), seed=42,
     )
     assert len(errors) > 100
-    plans = PlanCache(layout, "fbf")
+    plans = PlanCache(XORBackend(layout, "fbf"))
 
     def run():
         return {
-            (blocks, policy): simulate_cache_trace(
-                layout, errors, policy=policy, capacity_blocks=blocks,
+            (blocks, policy): simulate_trace(
+                plans.backend, errors, policy=policy, capacity_blocks=blocks,
                 workers=16, plan_cache=plans,
             )
             for blocks in BLOCKS

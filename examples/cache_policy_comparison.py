@@ -13,7 +13,7 @@ import argparse
 
 from repro import available_codes, make_code
 from repro.cache import available_policies
-from repro.sim import PlanCache, simulate_cache_trace
+from repro.engine import PlanCache, XORBackend, simulate_trace
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 # smallest size = WORKERS: a cache smaller than the SOR worker count
@@ -34,7 +34,7 @@ def main() -> None:
     errors = generate_errors(
         layout, ErrorTraceConfig(n_errors=args.errors, seed=args.seed)
     )
-    plans = PlanCache(layout, "fbf")
+    plans = PlanCache(XORBackend(layout, "fbf"))
     policies = sorted(available_policies())
 
     print(f"{layout.name} p={args.p}, {args.errors} partial stripe errors, "
@@ -47,8 +47,8 @@ def main() -> None:
     for blocks in CACHE_BLOCKS:
         row = [f"{blocks:>7}"]
         for pol in policies:
-            res = simulate_cache_trace(
-                layout, errors, policy=pol, capacity_blocks=blocks,
+            res = simulate_trace(
+                plans.backend, errors, policy=pol, capacity_blocks=blocks,
                 workers=WORKERS, plan_cache=plans,
             )
             results[(blocks, pol)] = res

@@ -16,8 +16,13 @@ Run:  python examples/trace_replay.py
 import tempfile
 from pathlib import Path
 
-from repro import FBFCache, PriorityDictionary, generate_plan, make_code
-from repro.sim import simulate_cache_trace
+from repro import (
+    FBFCache,
+    PriorityDictionary,
+    generate_plan,
+    make_code,
+    simulate_cache_trace,
+)
 from repro.workloads import (
     AppWorkloadConfig,
     ErrorTraceConfig,

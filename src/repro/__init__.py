@@ -49,11 +49,11 @@ from .core import (
     UnrecoverableError,
     generate_plan,
 )
+from .engine import simulate_cache_trace
 from .sim import (
     ReconstructionReport,
     SimConfig,
     run_reconstruction,
-    simulate_cache_trace,
 )
 from .workloads import (
     ErrorTraceConfig,

@@ -16,13 +16,13 @@ argument quantitative.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from ..codes.layout import CodeLayout
 from ..core.priorities import PriorityDictionary
 from ..core.scheme import SchemeMode, generate_plan
+from ..engine import stackdist
 
 __all__ = [
     "reuse_distances",
@@ -37,38 +37,23 @@ INFINITE = -1  # marker for first-ever references
 def reuse_distances(stream: Iterable[Hashable]) -> list[int]:
     """Reuse distance of every request (``INFINITE`` for cold misses).
 
-    O(N log N)-ish via the standard tree-free formulation: track each
-    block's last position and count distinct blocks since then with a
-    position-indexed set scan.  Streams here are short (recovery traces),
-    so a transparent implementation beats a Fenwick tree.
+    The engine's Fenwick-tree pass (:func:`repro.engine.stackdist.
+    reuse_distances`), O(N log N).
     """
-    last_seen: dict[Hashable, int] = {}
-    accesses: list[Hashable] = []
-    out: list[int] = []
-    for i, key in enumerate(stream):
-        accesses.append(key)
-        prev = last_seen.get(key)
-        if prev is None:
-            out.append(INFINITE)
-        else:
-            out.append(len(set(accesses[prev + 1 : i])))
-        last_seen[key] = i
-    return out
+    return list(stackdist.reuse_distances(list(stream)))
 
 
 def lru_hit_curve(
     stream: Sequence[Hashable], capacities: Iterable[int]
 ) -> dict[int, float]:
     """Exact LRU hit ratio for each capacity, from one distance pass."""
-    distances = reuse_distances(stream)
-    n = len(distances)
-    hist = Counter(d for d in distances if d != INFINITE)
+    profile = stackdist.StackDistanceProfile(stream)
+    n = profile.requests
     curve: dict[int, float] = {}
     for cap in capacities:
         if cap < 0:
             raise ValueError(f"capacity must be >= 0, got {cap}")
-        hits = sum(count for d, count in hist.items() if d < cap)
-        curve[cap] = hits / n if n else 0.0
+        curve[cap] = profile.hits_at(cap) / n if n else 0.0
     return curve
 
 

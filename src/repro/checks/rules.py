@@ -705,8 +705,9 @@ class LegacyReplayImportRule(Rule):
     when the unified engine landed; any import of it (absolute or
     relative) — or of its deleted entry points through ``repro.lrc`` —
     resurrects a second replay implementation and silently forks the
-    numbers.  ``repro.sim.tracesim`` survives only as a thin adapter over
-    :func:`repro.engine.simulate_trace`, so importing it stays legal.
+    numbers.  The rule polices ``repro.lrc.tracesim`` only: the XOR-world
+    adapter ``repro.sim.tracesim`` is deleted too, and a stale import of
+    it fails at import time without help from the linter.
     """
 
     rule_id = "ENG001"

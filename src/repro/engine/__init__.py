@@ -13,7 +13,9 @@ four XOR 3DFT codes plus the LRC code plug in as adapters.
 * :mod:`repro.engine.registry` — name -> backend resolution
   (``make_backend("tip", 7)``, ``make_backend("lrc(12,2,2)")``).
 * :mod:`repro.engine.tracesim` — the untimed replay:
-  :func:`simulate_trace`, :class:`PlanCache`, :class:`TraceSimResult`.
+  :func:`simulate_trace` (and its XOR-layout spelling
+  :func:`simulate_cache_trace`), :class:`PlanCache`, the one plan memo,
+  and :class:`TraceSimResult`.
 * :mod:`repro.engine.stream` — the single-pass grid replay (DESIGN.md
   §11): :func:`intern_stream`, :func:`simulate_grid_pass`.
 * :mod:`repro.engine.stackdist` — Mattson reuse-distance profiling, the
@@ -47,7 +49,13 @@ from .stackdist import SampledStackDistanceProfile, StackDistanceProfile
 from .stream import InternedStream, ReplayConfig, intern_stream, simulate_grid_pass
 from .timed import run_timed_replay
 from .vector import VECTOR_POLICIES, VectorFleet, VectorReplay
-from .tracesim import PlanCache, TraceSimResult, effective_partition, simulate_trace
+from .tracesim import (
+    PlanCache,
+    TraceSimResult,
+    effective_partition,
+    simulate_cache_trace,
+    simulate_trace,
+)
 
 __all__ = [
     "MAX_PRIORITY",
@@ -68,6 +76,7 @@ __all__ = [
     "PlanCache",
     "TraceSimResult",
     "simulate_trace",
+    "simulate_cache_trace",
     "effective_partition",
     "InternedStream",
     "ReplayConfig",

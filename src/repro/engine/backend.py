@@ -65,8 +65,8 @@ class EnginePlan:
     ``steps`` are ordered; the request stream replays each step's reads in
     sequence.  Units read by several steps repeat in the stream — the
     rereference structure FBF exploits.  ``source`` holds the backend's
-    native plan object(s) for compatibility shims and analysis; it never
-    participates in equality.
+    native plan (an XOR :class:`~repro.core.scheme.RecoveryPlan`, an LRC
+    plan) for analysis; it never participates in equality.
     """
 
     steps: tuple[RecoveryStep, ...]

@@ -13,6 +13,11 @@ contract of :mod:`repro.engine.backend`:
   selected equation (the greedy planner picks exactly one rank-raising
   equation per failure); the plan key is the failed-block batch itself.
 
+Each engine plan's ``source`` is the native plan it was built from (a
+:class:`~repro.core.scheme.RecoveryPlan`, an LRC plan).  The Table II
+priorities are the engine plan's own (:attr:`~repro.engine.backend.
+EnginePlan.priorities`), derived once per shape.
+
 Both produce byte-identical request streams and priorities to the
 pre-unification replay implementations — pinned by
 ``tests/engine/test_golden_equivalence.py``.
@@ -27,7 +32,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Hashable
 
 from ..codes.layout import CodeLayout
-from ..core.priorities import PriorityDictionary
 from ..core.scheme import SchemeMode, generate_plan
 from ..lrc.code import LRCCode
 from ..lrc.scheme import plan_lrc_recovery
@@ -82,7 +86,7 @@ class XORBackend:
             RecoveryStep(target=a.failed_cell, reads=a.reads, detail=a)
             for a in plan.assignments
         )
-        return EnginePlan(steps=steps, source=(plan, PriorityDictionary(plan)))
+        return EnginePlan(steps=steps, source=plan)
 
     def generate_events(self, n: int, seed: int | None) -> list[PartialStripeError]:
         return generate_errors(self.layout, ErrorTraceConfig(n_errors=n, seed=seed))

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from ..cache.registry import POLICIES, make_policy
 from .backend import CodeBackend
 from .stream import SATURATION_SAFE_POLICIES, intern_stream
-from .tracesim import PlanCache
+from .tracesim import PlanCache, effective_partition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.reconstruction import ReconstructionReport, SimConfig
@@ -160,8 +160,10 @@ class ForkJoinGroup:
             raise ValueError("config does not match the group's skeleton")
         if not (self.has_reads and eligible(config)):
             raise ValueError("config is outside the fork-join model; run the DES")
-        # The DES's partition: W policies of total // config.workers blocks.
-        capacity = config.cache_blocks_per_worker
+        # The DES's partition, which is simulate_trace's.
+        _, capacity = effective_partition(
+            config.cache_blocks_total, config.workers, self.n_events
+        )
         saturates = (
             capacity > 0
             and config.policy.strip().lower() in SATURATION_SAFE_POLICIES

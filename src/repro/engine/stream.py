@@ -121,19 +121,6 @@ class InternedStream:
         """Distinct blocks touched by the stream."""
         return len(self.keys)
 
-    @property
-    def event_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-event ``(bid, hint)`` tuples (compat/introspection view).
-
-        Materialized on demand — the flat arrays are the storage format.
-        """
-        bids, hints, offsets = self.bids, self.hints, self.offsets
-        return tuple(
-            tuple(zip(bids[offsets[i] : offsets[i + 1]],
-                      hints[offsets[i] : offsets[i + 1]]))
-            for i in range(len(offsets) - 1)
-        )
-
     def worker_substreams(self, workers: int) -> list[tuple[array, array]]:
         """Per-worker ``(block_ids, hints)`` parallel arrays (round-robin).
 
@@ -161,30 +148,6 @@ class InternedStream:
         return cached
 
 
-def _intern_python(
-    events_sorted: list, get_plan, sequence
-) -> tuple[tuple[Any, ...], array, array, array]:
-    """Reference interning loop: one dict probe per request."""
-    index: dict[Any, int] = {}
-    bids = array("i")
-    hints = array("i")
-    offsets = array("i", [0])
-    append_bid = bids.append
-    append_hint = hints.append
-    for event in events_sorted:
-        stripe = event.stripe
-        for unit, hint_value in sequence(get_plan(event)):
-            key = (stripe, unit)
-            bid = index.get(key)
-            if bid is None:
-                bid = index[key] = len(index)
-            append_bid(bid)
-            append_hint(hint_value)
-        offsets.append(len(bids))
-    # dict preserves insertion order, so tuple(index) is keys-by-bid.
-    return tuple(index), bids, hints, offsets
-
-
 #: Per-(PlanCache, hint) interning state — unit registry plus per-plan
 #: (uids, hints) arrays — reused across intern calls so that re-interning
 #: the same backend's events (grid benches, repeated experiments) skips
@@ -196,8 +159,10 @@ _INTERN_STATE: "weakref.WeakKeyDictionary[PlanCache, dict]" = \
 
 def _intern_numpy(
     events_sorted: list, get_plan, sequence, state: tuple | None = None
-) -> tuple[tuple[Any, ...], array, array, array]:
-    """Vectorized interning: identical output to :func:`_intern_python`.
+) -> tuple[tuple[Any, ...], array, array, array] | None:
+    """Vectorized interning: identical output to :meth:`StreamInterner.
+    extend`'s per-request loop, or None when the pair codes would
+    overflow int64 (the caller then takes that loop).
 
     The python loop runs per *plan* (memoized unit/hint arrays; plans are
     shared PlanCache objects), not per request; the per-request work —
@@ -238,8 +203,7 @@ def _intern_numpy(
 
     n_units = max(len(unit_list), 1)
     if stripes and max(abs(s) for s in stripes) >= (1 << 62) // n_units:
-        # pair codes would overflow int64; take the reference loop.
-        return _intern_python(events_sorted, get_plan, sequence)
+        return None
     lens_np = np.asarray(lens, dtype=np.int64)
     if uid_parts:
         all_uids = np.concatenate(uid_parts)
@@ -286,8 +250,10 @@ def intern_stream(
     Events are sorted exactly as :func:`~repro.engine.tracesim.
     simulate_trace` sorts them, plans come from the shared ``plan_cache``
     memo, and block keys are interned to dense ints in first-seen order
-    (deterministic: a function of the sorted event stream alone — the
-    vectorized and python interning paths produce identical streams).
+    (deterministic: a function of the sorted event stream alone).  Stripe
+    numbers too large for the vectorized path's int64 pair codes take
+    :class:`StreamInterner`'s per-request loop, which yields the same
+    stream.
     """
     model = make_priority_model(hint)
     if plan_cache is None:
@@ -307,10 +273,14 @@ def intern_stream(
     state = per_hint.get(hint)
     if state is None:
         state = per_hint[hint] = ({}, [], {})
-    keys, bids, hints, offsets = _intern_numpy(
-        sorted(events), plan_cache.get, model.sequence, state
-    )
-    stream = InternedStream(backend, hint, keys, bids, hints, offsets)
+    events = sorted(events)
+    interned = _intern_numpy(events, plan_cache.get, model.sequence, state)
+    if interned is None:
+        interner = StreamInterner(backend, hint, plan_cache)
+        interner.extend(events)
+        stream = interner.snapshot()
+    else:
+        stream = InternedStream(backend, hint, *interned)
     if obs_on:
         decode_span["events"] = stream.n_events
         decode_span["blocks"] = stream.n_blocks

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..core.policy import CachePolicy
 from .backend import CodeBackend
+from .tracesim import effective_partition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.reconstruction import ReconstructionReport, SimConfig
@@ -37,11 +38,15 @@ def run_timed_replay(
 ) -> "ReconstructionReport":
     """Simulate timed recovery of ``events`` under ``config`` via ``backend``.
 
-    ``policy_factory`` overrides the registry lookup (useful for custom
-    policies); it receives the per-worker capacity in blocks.  The
-    backend's scheme label wins over ``config.scheme_mode`` (the config
-    field parameterises the XOR convenience wrapper, which builds the
-    backend from it).
+    The cache is split among the SOR workers by
+    :func:`~repro.engine.tracesim.effective_partition`, the untimed
+    replay's rule: ``min(workers, len(events))`` workers, each with an
+    equal slice, and :class:`ValueError` when a non-zero cache has fewer
+    blocks than that.  ``policy_factory`` overrides the registry lookup
+    (useful for custom policies); it receives the per-worker capacity in
+    blocks.  The backend's scheme label wins over ``config.scheme_mode``
+    (the config field parameterises the XOR convenience wrapper, which
+    builds the backend from it).
     """
     from ..cache.registry import make_policy
     from ..sim.cache_sim import TimedBufferCache
@@ -61,6 +66,9 @@ def run_timed_replay(
     if not events:
         raise ValueError("no events to recover")
     events = sorted(events)
+    workers, per_worker_blocks = effective_partition(
+        config.cache_blocks_total, config.workers, len(events)
+    )
     if config.sanitize:
         # Imported here: repro.checks imports the kernel, which would
         # cycle at module import time.
@@ -106,10 +114,8 @@ def run_timed_replay(
         backend=backend,
     )
 
-    per_worker_blocks = config.cache_blocks_per_worker
     caches: list[TimedBufferCache] = []
     procs = []
-    workers = min(config.workers, len(events))
     for w in range(workers):
         if policy_factory is not None:
             policy = policy_factory(per_worker_blocks)

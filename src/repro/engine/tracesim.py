@@ -9,9 +9,9 @@ timing metrics (Figures 10 and 11).
 This is the single implementation behind every code: the
 :class:`~repro.engine.backend.CodeBackend` supplies plans and events,
 the replay supplies SOR worker partitioning, plan memoization, hint
-models, the sanitizer hook and the result row.  The legacy per-world
-entry points (``repro.sim.simulate_cache_trace``) are thin adapters over
-:func:`simulate_trace`; ``repro.lrc.tracesim`` is gone.
+models, the sanitizer hook and the result row.
+:func:`simulate_cache_trace` is the XOR-layout spelling of the same call;
+:class:`PlanCache` is the one plan memo.
 
 Worker partitioning matches the paper's SOR extension: events are dealt
 round-robin to ``workers`` policies, each sized ``capacity // workers``.
@@ -24,14 +24,18 @@ from itertools import cycle
 from typing import Any, Callable, Hashable, Sequence
 
 from ..cache.registry import make_policy
+from ..codes.layout import CodeLayout
 from ..core.policy import CachePolicy
+from ..core.scheme import SchemeMode
 from ..obs import runtime as _obs
 from .backend import CodeBackend, EnginePlan, make_priority_model
+from .backends import XORBackend
 
 __all__ = [
     "TraceSimResult",
     "PlanCache",
     "simulate_trace",
+    "simulate_cache_trace",
     "effective_partition",
 ]
 
@@ -212,6 +216,26 @@ def simulate_trace(
         policy_kwargs=policy_kwargs,
         hint=hint,
         sanitize=sanitize,
+    )
+
+
+def simulate_cache_trace(
+    layout: CodeLayout,
+    errors: Sequence[Any],
+    policy: str = "fbf",
+    capacity_blocks: int = 64,
+    scheme_mode: SchemeMode = "fbf",
+    **options: Any,
+) -> TraceSimResult:
+    """Replay partial stripe ``errors`` on an XOR ``layout``.
+
+    :func:`simulate_trace` over a fresh ``XORBackend(layout,
+    scheme_mode)``; ``options`` are its keywords.  A caller that shares
+    plans across runs calls ``simulate_trace(plans.backend, ...,
+    plan_cache=plans)`` instead.
+    """
+    return simulate_trace(
+        XORBackend(layout, scheme_mode), errors, policy, capacity_blocks, **options
     )
 
 

@@ -7,11 +7,12 @@
 * :mod:`repro.sim.reconstruction` — serial/SOR batch reconstruction.
 * :mod:`repro.sim.topology` — racks, nodes, links: the cluster resource
   model (the single-controller world is its degenerate one-node case).
-* :mod:`repro.sim.tracesim` — fast untimed cache-trace replay.
 
 The cross-rack recovery *scenario* lives one layer up in
 :mod:`repro.sim.cluster` (it drives the engine's timed replay, so it
-cannot live at this layer without an upward import).
+cannot live at this layer without an upward import).  The fast untimed
+cache-trace replay is the engine's: :func:`repro.engine.simulate_trace`
+and :func:`repro.engine.simulate_cache_trace`.
 """
 
 from .array import ArrayGeometry, DiskArray, FlatGeometry
@@ -72,7 +73,6 @@ from .topology import (
     build_topology,
     single_node_topology,
 )
-from .tracesim import PlanCache, TraceSimResult, simulate_cache_trace
 
 __all__ = [
     "ArrayGeometry",
@@ -127,7 +127,4 @@ __all__ = [
     "ScanScheduler",
     "ScheduledDisk",
     "make_scheduler",
-    "PlanCache",
-    "TraceSimResult",
-    "simulate_cache_trace",
 ]

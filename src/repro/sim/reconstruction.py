@@ -131,10 +131,6 @@ class SimConfig:
     def cache_blocks_total(self) -> int:
         return self.cache_bytes // self.chunk_bytes
 
-    @property
-    def cache_blocks_per_worker(self) -> int:
-        return self.cache_blocks_total // self.workers
-
 
 @dataclass
 class ReconstructionReport:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import expected_reads, shape_table
-from repro.sim import PlanCache, simulate_cache_trace
+from repro.engine import PlanCache, XORBackend, simulate_cache_trace
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 
@@ -51,8 +51,8 @@ class TestExpectedReads:
         errors = generate_errors(
             tip7, ErrorTraceConfig(n_errors=2000, array_stripes=10**6, seed=0)
         )
-        plans = PlanCache(tip7, "fbf")
-        mean_unique = sum(plans.get(e)[0].unique_reads for e in errors) / len(errors)
+        plans = PlanCache(XORBackend(tip7, "fbf"))
+        mean_unique = sum(plans.get(e).unique_reads for e in errors) / len(errors)
         assert mean_unique == pytest.approx(exp.expected_unique_reads, rel=0.05)
 
     def test_infinite_cache_hit_ratio_matches_sharing_ratio(self, tip7):

@@ -9,7 +9,7 @@ benchmarks cannot make.
 import pytest
 
 from repro.codes import make_code
-from repro.sim import PlanCache, simulate_cache_trace
+from repro.engine import PlanCache, XORBackend, simulate_trace
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 SEEDS = (1, 7, 42, 1234, 99991)
@@ -20,17 +20,17 @@ BASELINES = ("fifo", "lru", "lfu", "arc")
 def test_fbf_wins_across_seeds(code_p):
     code, p = code_p
     layout = make_code(code, p)
-    plans = PlanCache(layout, "fbf")
+    plans = PlanCache(XORBackend(layout, "fbf"))
     strict_wins = 0
     for seed in SEEDS:
         errors = generate_errors(layout, ErrorTraceConfig(n_errors=50, seed=seed))
-        fbf = simulate_cache_trace(
-            layout, errors, policy="fbf", capacity_blocks=96, workers=8,
+        fbf = simulate_trace(
+            plans.backend, errors, policy="fbf", capacity_blocks=96, workers=8,
             plan_cache=plans,
         )
         best_baseline = max(
-            simulate_cache_trace(
-                layout, errors, policy=b, capacity_blocks=96, workers=8,
+            simulate_trace(
+                plans.backend, errors, policy=b, capacity_blocks=96, workers=8,
                 plan_cache=plans,
             ).hit_ratio
             for b in BASELINES
@@ -48,10 +48,10 @@ def test_read_savings_stable_across_seeds():
     fractions = []
     for seed in SEEDS:
         errors = generate_errors(layout, ErrorTraceConfig(n_errors=60, seed=seed))
-        fbf_plans = PlanCache(layout, "fbf")
-        typ_plans = PlanCache(layout, "typical")
-        fbf_unique = sum(fbf_plans.get(e)[0].unique_reads for e in errors)
-        typ_unique = sum(typ_plans.get(e)[0].unique_reads for e in errors)
+        fbf_plans = PlanCache(XORBackend(layout, "fbf"))
+        typ_plans = PlanCache(XORBackend(layout, "typical"))
+        fbf_unique = sum(fbf_plans.get(e).unique_reads for e in errors)
+        typ_unique = sum(typ_plans.get(e).unique_reads for e in errors)
         fractions.append(1 - fbf_unique / typ_unique)
     spread = max(fractions) - min(fractions)
     assert all(f > 0.05 for f in fractions)

@@ -17,7 +17,7 @@ from repro.checks import InvariantViolation, SanitizedEnvironment, SimSanitizer
 from repro.codes.registry import available_codes, make_code
 from repro.core.fbf_cache import FBFCache
 from repro.sim import SimConfig, run_reconstruction
-from repro.sim.tracesim import simulate_cache_trace
+from repro.engine import simulate_cache_trace
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 

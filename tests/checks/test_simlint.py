@@ -505,7 +505,9 @@ class TestLegacyReplayImport:
         assert violations == []
 
     def test_sim_tracesim_adapter_allowed(self):
-        """repro.sim.tracesim survives as a thin engine adapter."""
+        """ENG001 polices repro.lrc.tracesim only; a repro.sim.tracesim
+        import (deleted with the XOR adapter) is an import error, not a
+        lint finding."""
         violations = lint_snippet(
             "from repro.sim.tracesim import simulate_cache_trace\n",
             "src/repro/bench/broken.py",

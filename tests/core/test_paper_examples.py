@@ -101,7 +101,7 @@ class TestHeadlineClaim:
         """The abstract's claim, at one representative configuration."""
         from repro.cache import PAPER_BASELINES, make_policy
         from repro.workloads import ErrorTraceConfig, generate_errors
-        from repro.sim import simulate_cache_trace
+        from repro.engine import simulate_cache_trace
 
         layout = make_code("tip", 7)
         errors = generate_errors(layout, ErrorTraceConfig(n_errors=40, seed=3))

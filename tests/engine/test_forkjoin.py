@@ -4,8 +4,10 @@ Hypothesis samples a backend, a trace, a registry policy, a cache size,
 the SOR width, the chunk size and timings that force same-instant ties
 across entry types; :class:`~repro.engine.forkjoin.ForkJoinGroup` must
 reproduce every simulated field of :func:`~repro.engine.run_timed_replay`'s
-report, per-disk ``disk_stats`` included.  Every configuration outside
-the model must be refused, so that its caller takes the DES.
+report, per-disk ``disk_stats`` included, or raise the DES's error (a
+non-zero cache with fewer blocks than the SOR workers that run).  Every
+configuration outside the model must be refused, so that its caller
+takes the DES.
 """
 
 from __future__ import annotations
@@ -40,8 +42,16 @@ TIMINGS = (
 )
 
 
+def _outcome(run, *args):
+    """A report's simulated fields, or the ValueError the run raised."""
+    try:
+        return run(*args).simulated_dict()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def _des(backend, events, config):
-    return run_timed_replay(backend, events, config).simulated_dict()
+    return _outcome(run_timed_replay, backend, events, config)
 
 
 @settings(max_examples=100, deadline=None)
@@ -78,11 +88,12 @@ def test_fork_join_equals_the_des(
     assert eligible(config)
     group = ForkJoinGroup(backend, events, config)
     assert group.has_reads
-    assert group.run(config).simulated_dict() == _des(backend, events, config)
+    assert _outcome(group.run, config) == _des(backend, events, config)
 
 
 def test_one_group_serves_every_cell_of_its_trace():
-    """Cells share the skeleton, forced-outcome flags and replays."""
+    """Cells share the skeleton, forced-outcome flags and replays; a
+    64 KB cache (2 blocks for 8 workers) is refused by both paths."""
     backend = make_backend("tip", 5)
     events = backend.generate_events(30, 3)
     base = SimConfig(workers=8)
@@ -90,7 +101,9 @@ def test_one_group_serves_every_cell_of_its_trace():
     for policy in ("fifo", "lru", "lfu", "arc", "fbf", "lirs"):
         for cache in ("64KB", "1MB", "64MB"):
             config = replace(base, policy=policy, cache_size=cache)
-            assert group.run(config).simulated_dict() == _des(backend, events, config)
+            outcome = _outcome(group.run, config)
+            assert outcome == _des(backend, events, config)
+            assert (cache == "64KB") == isinstance(outcome, str)
     kwargs = replace(base, policy="fbf", policy_kwargs={"demote_on_hit": False})
     assert group.run(kwargs).simulated_dict() == _des(backend, events, kwargs)
     with pytest.raises(ValueError, match="skeleton"):

@@ -10,6 +10,8 @@ how the events were batched on the way in, and regardless of whether
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,3 +135,28 @@ class TestReplayThroughWindows:
                 capacity_blocks=config.capacity_blocks,
                 workers=config.workers,
             )
+
+
+class TestPairCodeOverflow:
+    def test_huge_stripes_intern_through_the_interner_loop(self, monkeypatch):
+        """Stripes too large for int64 pair codes take StreamInterner's
+        loop: the same stream, with every key's stripe shifted."""
+        backend = make_backend("tip", 5)
+        events = _events(30)
+        base = intern_stream(backend, events)
+        shift = 1 << 62  # >= (1 << 62) // n_units for any unit count
+        extended = []
+        extend = StreamInterner.extend
+        monkeypatch.setattr(
+            StreamInterner,
+            "extend",
+            lambda self, batch: extended.append(1) or extend(self, batch),
+        )
+        huge = intern_stream(
+            backend, [replace(e, stripe=e.stripe + shift) for e in events]
+        )
+        assert extended == [1]
+        assert huge.bids == base.bids
+        assert huge.hints == base.hints
+        assert huge.offsets == base.offsets
+        assert huge.keys == tuple((stripe + shift, unit) for stripe, unit in base.keys)

@@ -12,12 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes import make_code
-from repro.sim import (
-    SimConfig,
-    run_reconstruction,
-    run_reconstruction_dor,
-    simulate_cache_trace,
-)
+from repro.engine import simulate_cache_trace
+from repro.sim import SimConfig, run_reconstruction, run_reconstruction_dor
 from repro.workloads import ErrorTraceConfig, generate_errors
 
 LAYOUTS = {p: make_code("tip", p) for p in (5, 7)}

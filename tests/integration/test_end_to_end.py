@@ -12,7 +12,8 @@ import pytest
 from repro.cache import make_policy
 from repro.codes import Encoder, make_code, xor_cells
 from repro.core import FBFCache, PriorityDictionary, generate_plan
-from repro.sim import SimConfig, run_reconstruction, simulate_cache_trace
+from repro.engine import simulate_cache_trace
+from repro.sim import SimConfig, run_reconstruction
 from repro.workloads import (
     ErrorTraceConfig,
     generate_errors,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.codes import make_code
+from repro.engine import effective_partition
 from repro.sim import SimConfig, run_reconstruction
 from repro.workloads import ErrorTraceConfig, PartialStripeError, generate_errors
 
@@ -22,7 +23,9 @@ class TestSimConfig:
     def test_cache_partitioning(self):
         cfg = SimConfig(cache_size="2MB", chunk_size="32KB", workers=8)
         assert cfg.cache_blocks_total == 64
-        assert cfg.cache_blocks_per_worker == 8
+        assert effective_partition(cfg.cache_blocks_total, cfg.workers, 20) == (8, 8)
+        # Only min(workers, events) workers run, and they split the whole cache.
+        assert effective_partition(cfg.cache_blocks_total, cfg.workers, 3) == (3, 21)
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,17 @@
-"""Tests for the fast trace-driven cache simulator."""
+"""Tests for the fast trace-driven cache simulator on the XOR codes."""
 
 import pytest
 
 from repro.codes import make_code
 from repro.core import PriorityDictionary, generate_plan
-from repro.sim import PlanCache, simulate_cache_trace
+from repro.engine import (
+    PlanCache,
+    XORBackend,
+    make_backend,
+    run_timed_replay,
+    simulate_cache_trace,
+    simulate_trace,
+)
 from repro.sim.reconstruction import SimConfig, run_reconstruction
 from repro.workloads import ErrorTraceConfig, generate_errors
 
@@ -14,23 +21,30 @@ def errors(tip7):
     return generate_errors(tip7, ErrorTraceConfig(n_errors=25, seed=4))
 
 
+def _plans(layout, scheme_mode="fbf", **kwargs):
+    return PlanCache(XORBackend(layout, scheme_mode), **kwargs)
+
+
 class TestPlanCache:
     def test_memoizes_by_shape(self, tip7, errors):
-        pc = PlanCache(tip7, "fbf")
+        pc = _plans(tip7)
         a = pc.get(errors[0])
         b = pc.get(errors[0])
         assert a is b
 
     def test_plans_match_direct_generation(self, tip7, errors):
-        pc = PlanCache(tip7, "fbf")
+        """The engine plan's own Table II priorities equal the
+        PriorityDictionary of the directly generated plan."""
+        pc = _plans(tip7)
         for e in errors[:5]:
-            plan, pd = pc.get(e)
+            plan = pc.get(e)
             direct = generate_plan(tip7, e.cells(tip7), "fbf")
             assert plan.request_sequence == direct.request_sequence
-            assert dict(pd) == dict(PriorityDictionary(direct))
+            assert plan.source.request_sequence == direct.request_sequence
+            assert plan.priorities == dict(PriorityDictionary(direct))
 
     def test_stats_counts_hits_misses_entries(self, tip7, errors):
-        pc = PlanCache(tip7, "fbf")
+        pc = _plans(tip7)
         assert pc.stats() == {"hits": 0, "misses": 0, "entries": 0}
         pc.get(errors[0])
         pc.get(errors[0])
@@ -41,10 +55,10 @@ class TestPlanCache:
     def test_shared_across_runs_accumulates(self, tip7, errors):
         """One PlanCache serving a whole sweep group: the second replay
         hits every shape the first one planned."""
-        pc = PlanCache(tip7, "fbf")
-        simulate_cache_trace(tip7, errors, policy="lru", capacity_blocks=32, plan_cache=pc)
+        pc = _plans(tip7)
+        simulate_trace(pc.backend, errors, policy="lru", capacity_blocks=32, plan_cache=pc)
         planned = pc.stats()["misses"]
-        simulate_cache_trace(tip7, errors, policy="fbf", capacity_blocks=64, plan_cache=pc)
+        simulate_trace(pc.backend, errors, policy="fbf", capacity_blocks=64, plan_cache=pc)
         stats = pc.stats()
         assert stats["misses"] == planned  # no new shapes on the re-run
         assert stats["hits"] >= planned
@@ -57,7 +71,7 @@ class TestPlanCache:
                 seen.add(e.shape)
                 distinct.append(e)
         assert len(distinct) >= 3
-        pc = PlanCache(tip7, "fbf", max_entries=2)
+        pc = _plans(tip7, max_entries=2)
         pc.get(distinct[0])
         pc.get(distinct[1])
         pc.get(distinct[2])  # evicts distinct[0] (oldest)
@@ -68,15 +82,15 @@ class TestPlanCache:
 
     def test_max_entries_validation(self, tip7):
         with pytest.raises(ValueError, match="max_entries"):
-            PlanCache(tip7, "fbf", max_entries=0)
+            _plans(tip7, max_entries=0)
 
 
 class TestSimulateCacheTrace:
     def test_request_count_matches_plans(self, tip7, errors):
-        pc = PlanCache(tip7, "fbf")
-        expected = sum(pc.get(e)[0].total_requests for e in errors)
-        res = simulate_cache_trace(
-            tip7, errors, policy="lru", capacity_blocks=32, plan_cache=pc
+        pc = _plans(tip7)
+        expected = sum(pc.get(e).total_requests for e in errors)
+        res = simulate_trace(
+            pc.backend, errors, policy="lru", capacity_blocks=32, plan_cache=pc
         )
         assert res.requests == expected
         assert res.hits + res.disk_reads == res.requests
@@ -87,12 +101,10 @@ class TestSimulateCacheTrace:
         assert res.hit_ratio == 0.0
 
     def test_infinite_cache_hits_all_shared_reads(self, tip7, errors):
-        pc = PlanCache(tip7, "fbf")
-        shared = sum(
-            pc.get(e)[0].total_requests - pc.get(e)[0].unique_reads for e in errors
-        )
-        res = simulate_cache_trace(
-            tip7, errors, policy="lru", capacity_blocks=10**6, plan_cache=pc
+        pc = _plans(tip7)
+        shared = sum(pc.get(e).total_requests - pc.get(e).unique_reads for e in errors)
+        res = simulate_trace(
+            pc.backend, errors, policy="lru", capacity_blocks=10**6, plan_cache=pc
         )
         assert res.hits == shared
 
@@ -103,10 +115,9 @@ class TestSimulateCacheTrace:
             simulate_cache_trace(tip7, errors, workers=0)
 
     def test_plan_cache_layout_mismatch_rejected(self, tip7, errors):
-        other = make_code("star", 5)
-        pc = PlanCache(other, "fbf")
-        with pytest.raises(ValueError, match="different layout"):
-            simulate_cache_trace(tip7, errors, plan_cache=pc)
+        pc = _plans(make_code("star", 5))
+        with pytest.raises(ValueError, match="different backend"):
+            simulate_trace(XORBackend(tip7, "fbf"), errors, plan_cache=pc)
 
     def test_worker_partitioning_changes_results(self, tip7, errors):
         one = simulate_cache_trace(tip7, errors, capacity_blocks=64, workers=1)
@@ -162,3 +173,25 @@ class TestAgreementWithEventSim:
         )
         assert rep.cache_hits == fast.hits
         assert rep.disk_reads == fast.disk_reads
+
+    def test_fewer_events_than_workers_partition_alike(self):
+        """With fewer events than SOR workers, the DES and the untimed
+        replay run the same ``min(workers, events)`` workers, each with
+        the same slice of the whole cache, so their hit counts agree."""
+        for name, p in (("tip", 7), ("star", 5), ("hdd1", 7)):
+            backend = make_backend(name, p)
+            for n_events in (3, 5, 7):
+                events = backend.generate_events(n_events, 11)
+                for policy in ("lru", "fbf", "arc"):
+                    for blocks in (16, 64, 256):
+                        config = SimConfig(
+                            policy=policy, cache_size=blocks * 32 * 1024, workers=8
+                        )
+                        des = run_timed_replay(backend, events, config)
+                        fast = simulate_trace(
+                            backend, events, policy=policy,
+                            capacity_blocks=blocks, workers=8,
+                        )
+                        cell = (name, n_events, policy, blocks)
+                        assert des.cache_hits == fast.hits, cell
+                        assert des.disk_reads == fast.disk_reads, cell

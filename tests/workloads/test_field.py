@@ -102,7 +102,7 @@ class TestGenerateFieldTrace:
         assert len(stripes) == len(set(stripes))
 
     def test_feeds_simulator(self, tip7):
-        from repro.sim import simulate_cache_trace
+        from repro.engine import simulate_cache_trace
 
         errors = generate_field_trace(tip7, duration_days=30_000, seed=6)
         if errors:

@@ -79,7 +79,7 @@ class TestMapping:
         assert len(errors) == 2
 
     def test_output_feeds_simulator(self, tip7):
-        from repro.sim import simulate_cache_trace
+        from repro.engine import simulate_cache_trace
 
         exts = [
             ByteExtentError(time=float(i), disk=i % tip7.num_disks,
