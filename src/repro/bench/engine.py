@@ -9,15 +9,15 @@ original (canonical) grid order.  Because every simulation is a pure
 function of its ``GridPoint``, the parallel result is identical to the
 serial one, row for row.
 
-Three layers keep repeated runs cheap:
+Four layers keep runs cheap:
 
-* **per-group prepare** — backend construction (via the unified
-  :mod:`repro.engine` registry), failure-trace generation and the
-  :class:`~repro.engine.tracesim.PlanCache` are shared by every point of
-  a ``(code, p, n_errors, seed[, scheme])`` group.  Each worker process
-  memoises them, so a group costs one setup per process instead of one
-  per point (the serial path shares a single memo, matching the old
-  nested-loop behaviour exactly);
+* **one task per group** — the cells of a ``(code, p, n_errors, seed,
+  scheme)`` group are one task, which builds the backend (via the
+  unified :mod:`repro.engine` registry), the failure trace and one
+  :class:`~repro.engine.tracesim.PlanCache` for all of them and drops
+  them when it returns; a cluster cell is a task of its own.  Nothing
+  outlives a task, so a grid's rows and counters never depend on what
+  the process ran before;
 * **persistent result cache** — each computed row is stored under a
   SHA-256 key of the point's full parameter vector plus a code-version
   salt (:data:`ENGINE_CACHE_VERSION`); re-running a sweep only computes
@@ -30,8 +30,8 @@ Three layers keep repeated runs cheap:
   the per-point rows; timed (``des``) cells sharing a trace replay on the
   exact fork-join model of :mod:`repro.engine.forkjoin`, equal to the DES
   in every simulated column (``EngineConfig.batch=False``, which the
-  CLI's ``--check-serial`` golden run uses, restores the per-point path
-  and the DES);
+  CLI's ``--check-serial`` golden run uses, runs the same tasks through
+  the per-point path and the DES);
 * **process-pool fan-out** — ``workers="auto"`` uses ``os.cpu_count()``,
   ``workers=0`` is an in-process serial fallback for debugging.  The
   worker count only schedules work; it never parameterises a simulation
@@ -57,6 +57,9 @@ from ..obs import runtime as _obs
 from .perf import stamp, write_json
 
 if TYPE_CHECKING:  # annotation-only
+    from ..engine.backend import CodeBackend
+    from ..engine.stream import ReplayConfig
+    from ..engine.tracesim import PlanCache, TraceSimResult
     from ..sim.reconstruction import ReconstructionReport, SimConfig
     from .experiments import SweepPoint
 
@@ -121,16 +124,36 @@ class GridPoint:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+class _Workers:
+    """The ``workers`` vocabulary :class:`EngineConfig` and
+    :class:`EnginePool` share: an int >= 0, or ``"auto"`` for
+    ``os.cpu_count()``."""
+
+    workers: int | str
+
+    def _check_workers(self) -> None:
+        if self.workers != "auto" and (
+            isinstance(self.workers, str) or self.workers < 0
+        ):
+            raise ValueError(
+                f"workers must be an int >= 0 or 'auto', got {self.workers!r}"
+            )
+
+    def resolved_workers(self) -> int:
+        if self.workers == "auto":
+            return os.cpu_count() or 1
+        return int(self.workers)
+
+
 @dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(_Workers):
     """How to execute a grid: fan-out width and result-cache location.
 
     ``workers=0`` runs in-process (serial debugging fallback); ``"auto"``
     resolves to ``os.cpu_count()``.  ``cache_dir=None`` disables the
     persistent cache.  ``batch=False`` (the CLI's ``--check-serial``
-    golden run) disables group dispatch and computes every cell through
-    the per-point golden path: per-point replay, and the DES for timed
-    cells.
+    golden run) computes every cell of a task through the per-point
+    golden path: per-point replay, and the DES for timed cells.
     """
 
     workers: int | str = 0
@@ -151,11 +174,7 @@ class EngineConfig:
     shards_rate: float = 0.01
 
     def __post_init__(self) -> None:
-        if isinstance(self.workers, str):
-            if self.workers != "auto":
-                raise ValueError(f"workers must be an int >= 0 or 'auto', got {self.workers!r}")
-        elif self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
+        self._check_workers()
         if self.stackdist not in ("exact", "sampled"):
             raise ValueError(
                 f"stackdist must be 'exact' or 'sampled', got {self.stackdist!r}"
@@ -176,11 +195,6 @@ class EngineConfig:
             return f"{base}+shards:{self.shards_rate!r}"
         return base
 
-    def resolved_workers(self) -> int:
-        if self.workers == "auto":
-            return os.cpu_count() or 1
-        return int(self.workers)
-
 
 def default_cache_dir() -> Path:
     """``$XDG_CACHE_HOME/repro-fbf`` (or ``~/.cache/repro-fbf``)."""
@@ -189,20 +203,17 @@ def default_cache_dir() -> Path:
     return base / "repro-fbf"
 
 
-class EnginePool:
+class EnginePool(_Workers):
     """A reusable process-pool handle shared across :func:`run_grid` calls.
 
     ``run_grid`` without one uses a temporary pool per invocation — fine
-    for one-shot sweeps, wasteful for a long-lived
-    caller (the serve layer) that replays a grid every few seconds:
-    process spawn plus per-process memo warm-up would dominate.  An
-    ``EnginePool`` keeps the executor, and therefore the workers' warm
-    memos, alive across calls: every backend, plus the failure trace,
-    ``PlanCache`` and interned stream of the last sweep group each
-    worker computed (a caller that replays one group keeps it warm)::
+    for one-shot sweeps, wasteful for a caller that runs many grids,
+    which would pay process start-up each time.  An ``EnginePool`` keeps
+    the executor alive across calls; its workers keep no memo between
+    tasks, so there is nothing else to keep warm::
 
         with EnginePool(workers=4) as pool:
-            for window in windows:
+            for points in grids:
                 run_grid(points, engine, pool=pool)
 
     The executor is created lazily on first use and torn down by
@@ -216,23 +227,10 @@ class EnginePool:
     def __init__(
         self, workers: int | str = "auto", start_method: str | None = None
     ):
-        if isinstance(workers, str):
-            if workers != "auto":
-                raise ValueError(
-                    f"workers must be an int >= 0 or 'auto', got {workers!r}"
-                )
-        elif workers < 0:
-            raise ValueError(
-                f"workers must be an int >= 0 or 'auto', got {workers!r}"
-            )
         self.workers = workers
+        self._check_workers()
         self.start_method = start_method
         self._executor: ProcessPoolExecutor | None = None
-
-    def resolved_workers(self) -> int:
-        if self.workers == "auto":
-            return os.cpu_count() or 1
-        return int(self.workers)
 
     @property
     def active(self) -> bool:
@@ -344,11 +342,12 @@ class EngineResult:
     """Rows in canonical grid order plus execution statistics.
 
     ``cache_hits``/``cache_misses`` count the persistent *result* cache;
-    ``plan_cache_hits``/``plan_cache_misses`` aggregate the in-memory
-    :class:`~repro.engine.tracesim.PlanCache` memo deltas reported back
-    by every compute task (summed across pool workers).  DES-kind points
-    plan privately (the controller's memo, or their fork-join group's own
-    cache), so they contribute zero here by construction.
+    ``plan_cache_hits``/``plan_cache_misses`` sum the ``(hits, misses)``
+    of the one :class:`~repro.engine.tracesim.PlanCache` each compute
+    task built (summed across pool workers): a hit-ratio group's, or a
+    batched ``des`` group's :class:`~repro.engine.forkjoin.ForkJoinGroup`
+    cache.  Cells on the DES (``batch=False``) and cluster cells plan
+    privately and add zero.
     """
 
     points: "list[SweepPoint]"
@@ -377,184 +376,45 @@ class EngineResult:
 
 # -- worker side --------------------------------------------------------------
 #
-# Module-level memos keyed by value tuples: in a pool worker they amortise
-# the per-(code, p) setup across every point that process executes; in
-# the serial fallback they reproduce the old nested-loop sharing (one
-# backend/event-trace/PlanCache per sweep group).  All cached objects are
-# deterministic functions of their keys, so sharing never changes results.
-# Grids visit their cells group by group, so the trace, plan and stream
-# memos hold only the latest group: a finished group's plans and interned
-# stream are freed when the next group starts.  Backends are a few KB
-# each and stay, so a group never loses the "fbf" backend its failure
-# trace comes from.
-
-_BACKENDS: dict = {}
-_EVENTS: dict = {}
-_PLANS: dict = {}
-_STREAMS: dict = {}
+# A task builds what its cells share -- the backend, the failure trace and
+# one PlanCache -- and drops it when it returns.  Nothing outlives a task,
+# so a task's rows and plan counts depend on its cells alone, never on
+# what the process computed before.
 
 
-def _latest(memo: dict, key: tuple, build: Callable[[], object]):
-    """``memo[key]``, built on a miss after dropping every other entry."""
-    value = memo.get(key)
-    if value is None:
-        memo.clear()
-        value = memo[key] = build()
-    return value
-
-
-def _reset_worker_state() -> None:
-    """Drop the per-process memos (test isolation / leak control)."""
-    _BACKENDS.clear()
-    _EVENTS.clear()
-    _PLANS.clear()
-    _STREAMS.clear()
-
-
-def _backend_for(code: str, p: int, scheme_mode: str):
-    from ..engine.registry import make_backend
-
-    key = (code, p, scheme_mode)
-    backend = _BACKENDS.get(key)
-    if backend is None:
-        backend = _BACKENDS[key] = make_backend(code, p, scheme_mode=scheme_mode)
-    return backend
-
-
-def _events_for(code: str, p: int, n_errors: int, seed: int):
-    # Failure traces depend only on the code, never on the scheme mode,
-    # so the memo key omits it (any scheme's backend generates them).
-    return _latest(
-        _EVENTS,
-        (code, p, n_errors, seed),
-        lambda: _backend_for(code, p, "fbf").generate_events(n_errors, seed),
-    )
-
-
-def _plans_for(code: str, p: int, scheme_mode: str):
-    from ..engine.tracesim import PlanCache
-
-    return _latest(
-        _PLANS,
-        (code, p, scheme_mode),
-        lambda: PlanCache(_backend_for(code, p, scheme_mode)),
-    )
-
-
-def _stream_for(code: str, p: int, scheme_mode: str, n_errors: int, seed: int):
-    from ..engine.stream import intern_stream
-
-    return _latest(
-        _STREAMS,
-        (code, p, scheme_mode, n_errors, seed),
-        lambda: intern_stream(
-            _backend_for(code, p, scheme_mode),
-            _events_for(code, p, n_errors, seed),
-            plan_cache=_plans_for(code, p, scheme_mode),
-        ),
-    )
-
-
-def _blocks_for(cache_mb: float, chunk_size: str) -> int:
+def _replay_config(point: GridPoint) -> "ReplayConfig":
+    """A hit-ratio cell's (``trace`` or ``demotion``) replay parameters."""
+    from ..engine.stream import ReplayConfig
     from ..utils import parse_size
 
-    return int(cache_mb * 1024 * 1024) // parse_size(chunk_size)
-
-
-def compute_point(point: GridPoint) -> "SweepPoint":
-    """Run one grid cell; pure function of ``point`` (spawn-safe)."""
-    from .experiments import SweepPoint
-
-    backend = _backend_for(point.code, point.p, point.scheme_mode)
-    events = _events_for(point.code, point.p, point.n_errors, point.seed)
-
-    if point.kind == "trace":
-        from ..engine.tracesim import simulate_trace
-
-        res = simulate_trace(
-            backend,
-            events,
-            policy=point.policy,
-            capacity_blocks=_blocks_for(point.cache_mb, point.chunk_size),
-            workers=point.sor_workers,
-            plan_cache=_plans_for(point.code, point.p, point.scheme_mode),
-        )
-        return SweepPoint(
-            experiment=point.experiment,
-            code=res.code,
-            p=point.p,
-            policy=point.policy,
-            cache_mb=point.cache_mb,
-            hit_ratio=res.hit_ratio,
-            disk_reads=res.disk_reads,
-            scheme_mode=point.scheme_mode,
-        )
-
+    capacity = int(point.cache_mb * 1024 * 1024) // parse_size(point.chunk_size)
     if point.kind == "demotion":
         from ..core.fbf_cache import FBFCache
-        from ..engine.tracesim import simulate_trace
 
         demote = bool(point.demote_on_hit)
-        res = simulate_trace(
-            backend,
-            events,
-            capacity_blocks=_blocks_for(point.cache_mb, point.chunk_size),
+        return ReplayConfig(
+            capacity_blocks=capacity,
             workers=point.sor_workers,
-            plan_cache=_plans_for(point.code, point.p, point.scheme_mode),
             policy_factory=lambda cap, d=demote: FBFCache(cap, demote_on_hit=d),
         )
-        return SweepPoint(
-            experiment=point.experiment,
-            code=res.code,
-            p=point.p,
-            policy=point.policy,
-            cache_mb=point.cache_mb,
-            hit_ratio=res.hit_ratio,
-            disk_reads=res.disk_reads,
-        )
+    return ReplayConfig(
+        policy=point.policy, capacity_blocks=capacity, workers=point.sor_workers
+    )
 
-    if point.kind == "cluster":
-        from ..sim.cluster import ClusterSpec, run_cluster_recovery
 
-        rep = run_cluster_recovery(
-            ClusterSpec(
-                redundancy=point.redundancy or "ec",
-                code=point.code,
-                p=point.p,
-                policy=point.policy,
-                cache_size=int(point.cache_mb * 1024 * 1024),
-                scheme_mode=point.scheme_mode,
-                n_errors=point.n_errors,
-                seed=point.seed,
-                workers=point.sor_workers,
-                chunk_size=point.chunk_size,
-                limplock=point.limplock,
-            )
-        )
-        return SweepPoint(
-            experiment=point.experiment,
-            code=rep.code,
-            p=point.p,
-            policy=point.policy,
-            cache_mb=point.cache_mb,
-            hit_ratio=rep.hit_ratio,
-            disk_reads=rep.disk_reads,
-            avg_response_time=rep.avg_response_time,
-            reconstruction_time=rep.recovery_time,
-            scheme_mode=point.scheme_mode,
-            redundancy=rep.redundancy,
-            limplock=rep.limplock,
-            cross_rack_mb=rep.cross_rack_mb,
-            p99_response_time=rep.p99_response_time,
-        )
+def _replay_row(point: GridPoint, res: "TraceSimResult") -> "SweepPoint":
+    from .experiments import SweepPoint
 
-    # kind == "des": the full event-driven simulation (timing metrics).
-    from ..engine.timed import run_timed_replay
-
-    rep = run_timed_replay(backend, events, _des_config(point))
-    if _obs.ENABLED:
-        _obs.counter("bench.des.kernel_rows").inc()
-    return _des_row(point, rep)
+    return SweepPoint(
+        experiment=point.experiment,
+        code=res.code,
+        p=point.p,
+        policy=point.policy,
+        cache_mb=point.cache_mb,
+        hit_ratio=res.hit_ratio,
+        disk_reads=res.disk_reads,
+        scheme_mode=point.scheme_mode,
+    )
 
 
 def _des_config(point: GridPoint) -> "SimConfig":
@@ -588,178 +448,149 @@ def _des_row(point: GridPoint, rep: "ReconstructionReport") -> "SweepPoint":
     )
 
 
-def _timed_point(point: GridPoint) -> "tuple[SweepPoint, float]":
-    """Pool entry point: compute one cell and report its compute time."""
-    t0 = time.perf_counter()
-    row = compute_point(point)
-    return row, time.perf_counter() - t0
+def _cluster_row(point: GridPoint) -> "SweepPoint":
+    """A cluster cell: its own topology-backed run, with its own trace."""
+    from ..sim.cluster import ClusterSpec, run_cluster_recovery
+    from .experiments import SweepPoint
 
-
-def _group_key(point: GridPoint) -> tuple:
-    """Points with equal keys replay the same decoded request stream."""
-    return (point.code, point.p, point.scheme_mode, point.n_errors, point.seed)
+    rep = run_cluster_recovery(
+        ClusterSpec(
+            redundancy=point.redundancy or "ec",
+            code=point.code,
+            p=point.p,
+            policy=point.policy,
+            cache_size=int(point.cache_mb * 1024 * 1024),
+            scheme_mode=point.scheme_mode,
+            n_errors=point.n_errors,
+            seed=point.seed,
+            workers=point.sor_workers,
+            chunk_size=point.chunk_size,
+            limplock=point.limplock,
+        )
+    )
+    return SweepPoint(
+        experiment=point.experiment,
+        code=rep.code,
+        p=point.p,
+        policy=point.policy,
+        cache_mb=point.cache_mb,
+        hit_ratio=rep.hit_ratio,
+        disk_reads=rep.disk_reads,
+        avg_response_time=rep.avg_response_time,
+        reconstruction_time=rep.recovery_time,
+        scheme_mode=point.scheme_mode,
+        redundancy=rep.redundancy,
+        limplock=rep.limplock,
+        cross_rack_mb=rep.cross_rack_mb,
+        p99_response_time=rep.p99_response_time,
+    )
 
 
 def _task_key(point: GridPoint) -> tuple:
     """Points with equal keys are computed together by :func:`compute_group`.
 
-    A ``des`` group's fork-join skeleton also depends on the SOR worker
-    count and the chunk size.
+    They replay the same failure trace; a ``des`` group's fork-join
+    skeleton also depends on the SOR worker count and the chunk size.
+    """
+    key = (point.code, point.p, point.scheme_mode, point.n_errors, point.seed)
+    if point.kind == "des":
+        return ("des", *key, point.sor_workers, point.chunk_size)
+    return key
+
+
+def compute_point(
+    point: GridPoint, backend: "CodeBackend", events: Sequence, plans: "PlanCache"
+) -> "SweepPoint":
+    """One cell on the per-point golden path, over its task's setup.
+
+    A hit-ratio cell is one ``simulate_trace`` call with the task's
+    ``plans``; a ``des`` cell runs the DES, which plans privately.
     """
     if point.kind == "des":
-        return ("des", *_group_key(point), point.sor_workers, point.chunk_size)
-    return _group_key(point)
+        from ..engine.timed import run_timed_replay
+
+        rep = run_timed_replay(backend, events, _des_config(point))
+        if _obs.ENABLED:
+            _obs.counter("bench.des.kernel_rows").inc()
+        return _des_row(point, rep)
+    from ..engine.tracesim import simulate_trace
+
+    config = _replay_config(point)
+    return _replay_row(
+        point, simulate_trace(backend, events, plan_cache=plans, **vars(config))
+    )
 
 
 def compute_group(
-    points: "Sequence[GridPoint]",
-    stackdist: str = "exact",
-    shards_rate: float = 0.01,
-) -> "list[SweepPoint]":
-    """Run a group of cells sharing :func:`_task_key` in one pass.
+    points: "Sequence[GridPoint]", engine: EngineConfig
+) -> "tuple[list[SweepPoint], tuple[int, int]]":
+    """Compute one task: the cells sharing a :func:`_task_key`, or one
+    cluster cell.
 
-    Hit-ratio cells (``kind="trace"`` or ``"demotion"``) step over one
-    interned stream; ``des`` cells replay on the fork-join model
-    (:func:`_compute_des_group`).  Rows are returned in ``points`` order
-    and equal :func:`compute_point` on each cell in every simulated
-    column — the equivalence the grid-pass and fork-join differential
-    tests pin down.
+    The task builds its backend, failure trace and plans here and drops
+    them on return.  With ``engine.batch`` hit-ratio cells
+    (``trace``/``demotion``) run in one grid pass and ``des`` cells on
+    the exact fork-join replay; without it, and for any ``des`` cell
+    outside the fork-join model, each cell takes :func:`compute_point`.
+    Rows come back in ``points`` order, equal on both paths in every
+    simulated column (the grid-pass and fork-join differential tests pin
+    this down), together with the ``(hits, misses)`` of the task's one
+    PlanCache: the grid's, or the fork-join group's.  The DES and
+    cluster cells plan privately and count nothing.
     """
-    if points[0].kind == "des":
-        return _compute_des_group(points)
-    from ..engine.stream import ReplayConfig, simulate_grid_pass
-    from .experiments import SweepPoint
-
     first = points[0]
-    configs = []
-    for point in points:
-        capacity = _blocks_for(point.cache_mb, point.chunk_size)
-        if point.kind == "demotion":
-            from ..core.fbf_cache import FBFCache
-
-            demote = bool(point.demote_on_hit)
-            configs.append(
-                ReplayConfig(
-                    capacity_blocks=capacity,
-                    workers=point.sor_workers,
-                    policy_factory=lambda cap, d=demote: FBFCache(
-                        cap, demote_on_hit=d
-                    ),
-                )
-            )
-        else:
-            configs.append(
-                ReplayConfig(
-                    policy=point.policy,
-                    capacity_blocks=capacity,
-                    workers=point.sor_workers,
-                )
-            )
-    results = simulate_grid_pass(
-        _backend_for(first.code, first.p, first.scheme_mode),
-        _events_for(first.code, first.p, first.n_errors, first.seed),
-        configs,
-        plan_cache=_plans_for(first.code, first.p, first.scheme_mode),
-        stream=_stream_for(
-            first.code, first.p, first.scheme_mode, first.n_errors, first.seed
-        ),
-        stackdist=stackdist,
-        shards_rate=shards_rate,
-    )
-    rows = []
-    for point, res in zip(points, results):
-        if point.kind == "demotion":
-            rows.append(
-                SweepPoint(
-                    experiment=point.experiment,
-                    code=res.code,
-                    p=point.p,
-                    policy=point.policy,
-                    cache_mb=point.cache_mb,
-                    hit_ratio=res.hit_ratio,
-                    disk_reads=res.disk_reads,
-                )
-            )
-        else:
-            rows.append(
-                SweepPoint(
-                    experiment=point.experiment,
-                    code=res.code,
-                    p=point.p,
-                    policy=point.policy,
-                    cache_mb=point.cache_mb,
-                    hit_ratio=res.hit_ratio,
-                    disk_reads=res.disk_reads,
-                    scheme_mode=point.scheme_mode,
-                )
-            )
-    return rows
-
-
-def _compute_des_group(points: "Sequence[GridPoint]") -> "list[SweepPoint]":
-    """Same-trace ``des`` cells on the exact fork-join replay.
-
-    The task owns the group's :class:`~repro.engine.forkjoin.ForkJoinGroup`
-    and with it a fresh PlanCache, so Table IV's overhead still times one
-    build per distinct shape.  A cell the model does not cover runs the
-    DES through :func:`compute_point`.
-    """
+    if first.kind == "cluster":
+        return [_cluster_row(first)], (0, 0)
     # Imported here, inside the task: loading the bench engine stays cheap.
-    from ..engine.forkjoin import ForkJoinGroup, eligible
+    from ..engine.registry import make_backend
+    from ..engine.tracesim import PlanCache
 
-    first = points[0]
-    configs = [_des_config(point) for point in points]
-    group = ForkJoinGroup(
-        _backend_for(first.code, first.p, first.scheme_mode),
-        _events_for(first.code, first.p, first.n_errors, first.seed),
-        configs[0],
+    backend = make_backend(first.code, first.p, scheme_mode=first.scheme_mode)
+    events = backend.generate_events(first.n_errors, first.seed)
+    if not engine.batch:
+        plans = PlanCache(backend)
+        rows = [compute_point(point, backend, events, plans) for point in points]
+        return rows, plans.counts()
+    if first.kind == "des":
+        from ..engine.forkjoin import ForkJoinGroup, eligible
+
+        configs = [_des_config(point) for point in points]
+        group = ForkJoinGroup(backend, events, configs[0])
+        rows = []
+        for point, config in zip(points, configs):
+            if group.has_reads and eligible(config):
+                rows.append(_des_row(point, group.run(config)))
+                if _obs.ENABLED:
+                    _obs.counter("bench.des.fast_rows").inc()
+            else:
+                rows.append(compute_point(point, backend, events, group.plans))
+        return rows, group.plans.counts()
+    from ..engine.stream import simulate_grid_pass
+
+    plans = PlanCache(backend)
+    results = simulate_grid_pass(
+        backend,
+        events,
+        [_replay_config(point) for point in points],
+        plan_cache=plans,
+        stackdist=engine.stackdist,
+        shards_rate=engine.shards_rate,
     )
-    rows = []
-    for point, config in zip(points, configs):
-        if group.has_reads and eligible(config):
-            rows.append(_des_row(point, group.run(config)))
-            if _obs.ENABLED:
-                _obs.counter("bench.des.fast_rows").inc()
-        else:
-            rows.append(compute_point(point))
-    return rows
+    rows = [_replay_row(point, res) for point, res in zip(points, results)]
+    return rows, plans.counts()
 
 
 def _timed_task(
-    points: "tuple[GridPoint, ...]",
-    replay: "tuple[str, float]" = ("exact", 0.01),
-    batch: bool = True,
-) -> "tuple[list[tuple[SweepPoint, float]], tuple[int, int]]":
-    """Pool entry point for a task: a group or a singleton.
+    points: "tuple[GridPoint, ...]", engine: EngineConfig
+) -> "tuple[list[SweepPoint], float, tuple[int, int]]":
+    """Pool entry point: one task's rows, compute seconds and plan counts.
 
-    Singletons go through the per-point golden path, except that with
-    ``batch`` a ``des`` group of one still takes the fork-join replay;
-    larger groups take :func:`compute_group`.  Group compute time is
-    split evenly across the group's cells so per-point timings stay
-    additive.  The second element is this task's plan-cache ``(hits,
-    misses)`` delta — additive across tasks and across pool workers, so
-    the driver can surface the memo's effectiveness without sharing
-    state between processes.  It is read off the one PlanCache the
-    task's cells use (DES and cluster cells, and fork-join groups, plan
-    privately and report zero), which stays in the one-group memo for
-    the whole task.
+    The plan counts are the task's own ``(hits, misses)``, additive
+    across tasks and pool workers.
     """
-    first = points[0]
-    plans = (
-        _plans_for(first.code, first.p, first.scheme_mode)
-        if first.kind in ("trace", "demotion")
-        else None
-    )
-    before = plans.counts() if plans is not None else (0, 0)
-    if len(points) == 1 and not (batch and first.kind == "des"):
-        results = [_timed_point(first)]
-    else:
-        t0 = time.perf_counter()
-        rows = compute_group(points, *replay)
-        per_point = (time.perf_counter() - t0) / len(points)
-        results = [(row, per_point) for row in rows]
-    after = plans.counts() if plans is not None else (0, 0)
-    return results, (after[0] - before[0], after[1] - before[1])
+    t0 = time.perf_counter()
+    rows, plan_counts = compute_group(points, engine)
+    return rows, time.perf_counter() - t0, plan_counts
 
 
 # -- driver side --------------------------------------------------------------
@@ -828,7 +659,6 @@ def _execute_grid(
         if engine.cache_dir is not None
         else None
     )
-    replay = (engine.stackdist, engine.shards_rate)
 
     rows: list = [None] * total
     timings: list[PointTiming | None] = [None] * total
@@ -863,51 +693,42 @@ def _execute_grid(
         misses = list(range(total))
     hits = total - len(misses)
 
-    # A task is a list of point indices computed together: cells sharing
-    # one decoded stream (hit-ratio cells) or one trace and skeleton (des
-    # cells) become a group when batching is on; everything else (and
-    # every cell with batch=False) is a singleton on the per-point golden
-    # path.
+    # A task is a list of point indices computed together by
+    # compute_group: the cells sharing a _task_key, or one cluster cell.
+    # batch only chooses how a task computes its cells.
     tasks: list[list[int]] = []
-    if engine.batch:
-        groups: dict[tuple, list[int]] = {}
-        for i in misses:
-            point = points[i]
-            if point.kind in ("trace", "demotion", "des"):
-                key = _task_key(point)
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = group = []
-                    tasks.append(group)
-                group.append(i)
-            else:
-                tasks.append([i])
-    else:
-        tasks = [[i] for i in misses]
+    groups: dict[tuple, list[int]] = {}
+    for i in misses:
+        point = points[i]
+        if point.kind == "cluster":
+            tasks.append([i])
+            continue
+        key = _task_key(point)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = group = []
+            tasks.append(group)
+        group.append(i)
 
     plan_hits = plan_misses = 0
 
     def record_task(indices: "list[int]", task_result) -> None:
         nonlocal plan_hits, plan_misses
-        results, (task_hits, task_misses) = task_result
+        task_rows, seconds, (task_hits, task_misses) = task_result
         plan_hits += task_hits
         plan_misses += task_misses
-        for i, (row, seconds) in zip(indices, results):
+        # Split the task's time evenly so per-point timings stay additive.
+        for i, row in zip(indices, task_rows):
             if cache is not None:
                 cache.put(points[i], row)
-            record(i, row, seconds, cached=False)
+            record(i, row, seconds / len(indices), cached=False)
 
     n_workers = (
         pool.resolved_workers() if pool is not None else engine.resolved_workers()
     )
     if n_workers == 0 or len(tasks) <= 1:
         for indices in tasks:
-            record_task(
-                indices,
-                _timed_task(
-                    tuple(points[i] for i in indices), replay, engine.batch
-                ),
-            )
+            record_task(indices, _timed_task(tuple(points[i] for i in indices), engine))
     else:
         n_workers = min(n_workers, len(tasks))
         chunksize = max(1, len(tasks) // (n_workers * 4))
@@ -916,9 +737,7 @@ def _execute_grid(
         finished = 0
         try:
             mapped = runner.map(
-                partial(_timed_task, replay=replay, batch=engine.batch),
-                todo,
-                chunksize=chunksize,
+                partial(_timed_task, engine=engine), todo, chunksize=chunksize
             )
             for indices, results in zip(tasks, mapped):
                 record_task(indices, results)
@@ -935,13 +754,10 @@ def _execute_grid(
             if runner is not pool:
                 runner.close()
 
-    resolved = (
-        pool.resolved_workers() if pool is not None else engine.resolved_workers()
-    )
     return EngineResult(
         points=rows,
         wall_s=time.perf_counter() - t_start,
-        workers=0 if resolved == 0 else n_workers,
+        workers=n_workers,
         cache_hits=hits,
         cache_misses=len(misses),
         timings=[t for t in timings if t is not None],

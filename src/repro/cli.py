@@ -316,11 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--synthetic-interval", type=float, default=0.05, metavar="SECS",
         help="pause between synthetic batches (default: 0.05)",
     )
-    s.add_argument(
-        "--engine-workers", default=None, metavar="N",
-        help="shard grid evaluations across a process pool: an int or "
-             "'auto' (default: in-process)",
-    )
 
     a = sub.add_parser(
         "advise",
@@ -589,22 +584,12 @@ def _run_serve(args: argparse.Namespace) -> int:
         emit(f"invalid serve configuration: {exc}", stream=sys.stderr)
         return 2
 
-    pool = None
-    if args.engine_workers not in (None, "0", 0):
-        from .bench.engine import EnginePool
-
-        pool = EnginePool(
-            workers="auto" if args.engine_workers == "auto"
-            else int(args.engine_workers)
-        )
-
     async def run() -> None:
         server = AdvisorServer(
             config,
             host=args.host,
             port=args.port,
             metrics_port=args.metrics_port,
-            pool=pool,
             read_stdin=args.stdin,
         )
         await server.start()
@@ -721,11 +706,6 @@ def _run_obs(args: argparse.Namespace) -> int:
             "the bench layer. Use --engine-workers 0 for full coverage."
         )
     grid = experiment_grid(args.experiment, scale)
-    # Observe a cold, self-contained run: warm per-process memos (shared
-    # backends/streams/plan caches) would hide the engine layer's work.
-    from .bench.engine import _reset_worker_state
-
-    _reset_worker_state()
     registry = obs.enable(fresh=True)
     result = run_grid(grid, engine)
     if not args.no_kernel_probe and "kernel.runs" not in registry.snapshot()["counters"]:

@@ -75,7 +75,8 @@ class ForkJoinGroup:
     the array's stripe count and the chunk size.  Cells then vary the
     policy, its kwargs, the cache size and the timings through
     :meth:`run`.  ``has_reads`` is False when some recovery step reads
-    nothing; such traces take the DES.
+    nothing; such traces take the DES.  ``plans`` is the group's own
+    PlanCache: one miss per distinct shape (``plan_samples``).
     """
 
     def __init__(self, backend: CodeBackend, events: Sequence[Any], config: "SimConfig"):
@@ -91,7 +92,7 @@ class ForkJoinGroup:
 
         # Table IV: time each distinct shape's build into a cold cache
         # before anything else reads it.
-        plans = PlanCache(backend)
+        plans = self.plans = PlanCache(backend)
         samples: list[float] = []
         for event in events:
             size_before = len(plans)

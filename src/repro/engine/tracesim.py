@@ -70,13 +70,13 @@ class PlanCache:
     """Key-memoized recovery plans for one backend (shared across runs).
 
     One instance per backend is meant to be *shared* across every run
-    that uses it — all cache sizes and policies of a sweep group, and all
-    trace replays of one engine worker — since plans are deterministic
-    functions of the backend's :meth:`~repro.engine.backend.CodeBackend.
-    plan_key`.  ``max_entries`` bounds the memo (FIFO eviction of the
-    oldest key) for long-lived sharing; the distinct-key count is small
-    (``O(disks x rows^2)`` for the XOR codes), so the default is
-    unbounded.
+    that uses it — all cache sizes and policies of a sweep group (one
+    bench-engine task), or every window of a live advisor — since plans
+    are deterministic functions of the backend's
+    :meth:`~repro.engine.backend.CodeBackend.plan_key`.  ``max_entries``
+    bounds the memo (FIFO eviction of the oldest key) for long-lived
+    sharing; the distinct-key count is small (``O(disks x rows^2)`` for
+    the XOR codes), so the default is unbounded.
     """
 
     def __init__(self, backend: CodeBackend, max_entries: int | None = None):

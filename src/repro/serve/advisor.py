@@ -11,11 +11,8 @@ and :meth:`CacheAdvisor.evaluate` return identical rows, and
 :func:`pick_winner` is the single ranking both sides share.
 
 Evaluations are memoized per window position, so a burst of ``advise``
-queries between ingest batches costs one replay.  With an
-:class:`~repro.bench.engine.EnginePool`, the candidate grid is sharded
-across pool workers (row-identical: every cell is an independent
-deterministic replay); without one, the whole grid rides a single
-interned pass in-process.
+queries between ingest batches costs one replay: the whole candidate
+grid rides a single interned pass in-process.
 """
 
 from __future__ import annotations
@@ -53,39 +50,11 @@ def _confidence(fill: float, lead: float) -> float:
     return fill * (1.0 - 1.0 / (1.0 + 100.0 * max(lead, 0.0)))
 
 
-def _evaluate_shard(payload: tuple) -> list[dict]:
-    """Pool entry point: replay one shard of the candidate grid.
-
-    Backends and plan caches come from the bench engine's per-process
-    memos, so a long-lived :class:`~repro.bench.engine.EnginePool`
-    worker pays the setup once across every window it evaluates.  Rows
-    travel back as dicts (dataclass fields), keeping the payload plain.
-    """
-    from dataclasses import asdict
-
-    from ..bench.engine import _backend_for, _plans_for
-
-    code, p, scheme_mode, hint, records, specs = payload
-    backend = _backend_for(code, p, scheme_mode)
-    events = [PartialStripeError(**r) for r in records]
-    configs = [
-        ReplayConfig(
-            policy=policy, capacity_blocks=capacity, workers=workers, hint=hint
-        )
-        for policy, capacity, workers in specs
-    ]
-    rows = simulate_grid_pass(
-        backend, events, configs, plan_cache=_plans_for(code, p, scheme_mode)
-    )
-    return [asdict(row) for row in rows]
-
-
 class CacheAdvisor:
     """Sliding-window policy/capacity advisor for one array deployment."""
 
-    def __init__(self, config: ServeConfig, pool=None):
+    def __init__(self, config: ServeConfig):
         self.config = config
-        self.pool = pool
         self.backend = make_backend(
             config.code, config.p, scheme_mode=config.scheme_mode
         )
@@ -189,16 +158,13 @@ class CacheAdvisor:
             return self._memo[1]
         configs = self.grid(workers)
         t0 = time.perf_counter()
-        if self.pool is not None and self.pool.resolved_workers() > 1:
-            rows = self._evaluate_pooled(start, stop, workers, configs)
-        else:
-            rows = simulate_grid_pass(
-                self.backend,
-                self.interner.events_slice(start, stop),
-                configs,
-                plan_cache=self.interner.plan_cache,
-                stream=self.interner.window(start, stop),
-            )
+        rows = simulate_grid_pass(
+            self.backend,
+            self.interner.events_slice(start, stop),
+            configs,
+            plan_cache=self.interner.plan_cache,
+            stream=self.interner.window(start, stop),
+        )
         self.evaluations += 1
         self._memo = (key, rows)
         if _obs.ENABLED:
@@ -207,37 +173,6 @@ class CacheAdvisor:
                 time.perf_counter() - t0
             )
         return rows
-
-    def _evaluate_pooled(
-        self, start: int, stop: int, workers: int, configs: list[ReplayConfig]
-    ) -> list[TraceSimResult]:
-        """Shard the grid across the engine pool; row order preserved."""
-        from .loadgen import records_for
-
-        n_shards = min(self.pool.resolved_workers(), len(configs))
-        records = records_for(self.interner.events_slice(start, stop))
-        shards: list[list[tuple]] = [[] for _ in range(n_shards)]
-        for i, config in enumerate(configs):
-            shards[i % n_shards].append(
-                (config.policy, config.capacity_blocks, config.workers)
-            )
-        payloads = [
-            (
-                self.config.code,
-                self.config.p,
-                self.config.scheme_mode,
-                self.config.hint,
-                records,
-                shard,
-            )
-            for shard in shards
-        ]
-        shard_rows = list(self.pool.map(_evaluate_shard, payloads))
-        rows: list[TraceSimResult | None] = [None] * len(configs)
-        for s, result in enumerate(shard_rows):
-            for j, row in enumerate(result):
-                rows[s + j * n_shards] = TraceSimResult(**row)
-        return [row for row in rows if row is not None]
 
     # -- the query ----------------------------------------------------------
 
@@ -297,9 +232,7 @@ class CacheAdvisor:
         }
 
     @classmethod
-    def from_state(
-        cls, config: ServeConfig, state: dict, pool=None
-    ) -> "CacheAdvisor":
+    def from_state(cls, config: ServeConfig, state: dict) -> "CacheAdvisor":
         """Rebuild an advisor whose replay state matches the checkpoint.
 
         Re-interning the retained events reproduces the interner arrays
@@ -313,7 +246,7 @@ class CacheAdvisor:
                 "checkpoint fingerprint does not match this ServeConfig; "
                 "refusing to resume replay state for a different deployment"
             )
-        advisor = cls(config, pool=pool)
+        advisor = cls(config)
         events = [PartialStripeError(**r) for r in state.get("events", ())]
         advisor.interner.extend(events)
         advisor.interner._dropped = int(state.get("dropped", 0))

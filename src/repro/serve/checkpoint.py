@@ -74,9 +74,7 @@ def load_checkpoint(path: str | Path) -> dict:
     return payload["state"]
 
 
-def restore_advisor(
-    config: ServeConfig, path: str | Path, pool=None
-) -> CacheAdvisor | None:
+def restore_advisor(config: ServeConfig, path: str | Path) -> CacheAdvisor | None:
     """Resume from ``path`` if it exists; None means start fresh.
 
     A present-but-incompatible checkpoint (corrupt, wrong schema, or a
@@ -88,7 +86,7 @@ def restore_advisor(
     if not path.exists():
         return None
     state = load_checkpoint(path)
-    advisor = CacheAdvisor.from_state(config, state, pool=pool)
+    advisor = CacheAdvisor.from_state(config, state)
     if _obs.ENABLED:
         _obs.counter("serve.checkpoint.restores").inc()
     return advisor

@@ -43,19 +43,21 @@ _IDLE_TICK = 0.2  # seconds between shutdown checks while the queue is idle
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
-    """The next wire line (``b""`` at EOF), or None for an over-long one.
+    """The next wire line (``b""`` at EOF), or None for a bad one, which
+    the caller counts once and never ingests or answers:
 
-    A line past the reader's limit is skipped through its newline, so it
-    is one bad line — counted once by the caller — and the connection
-    keeps its framing.  (``readline()`` raises instead, and after it the
-    tail of the line would read as a line of its own.)
+    * a line past the reader's limit is skipped through its newline, so
+      the connection keeps its framing.  (``readline()`` raises instead,
+      and after it the tail of the line would read as a line of its own.)
+    * an unterminated tail at EOF — a client that closed mid-line — is
+      dropped: only its newline marks a record as sent in full.
     """
     skipping = False
     while True:
         try:
             line = await reader.readuntil(b"\n")
         except asyncio.IncompleteReadError as exc:
-            line = exc.partial  # EOF: the unterminated tail, b"" if none
+            return None if skipping or exc.partial else b""
         except asyncio.LimitOverrunError as exc:
             await reader.readexactly(exc.consumed)  # already buffered
             skipping = True
@@ -72,7 +74,6 @@ class AdvisorServer:
         host: str = "127.0.0.1",
         port: int = 0,
         metrics_port: int | None = 0,
-        pool=None,
         read_stdin: bool = False,
     ):
         self.config = config
@@ -82,12 +83,12 @@ class AdvisorServer:
         self.read_stdin = read_stdin
         self.queue = BoundedIngestQueue(config.queue_limit)
         restored = (
-            restore_advisor(config, config.checkpoint_path, pool=pool)
+            restore_advisor(config, config.checkpoint_path)
             if config.checkpoint_path
             else None
         )
         self.resumed = restored is not None
-        self.advisor = restored or CacheAdvisor(config, pool=pool)
+        self.advisor = restored or CacheAdvisor(config)
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self._tasks: list[asyncio.Task] = []

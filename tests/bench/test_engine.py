@@ -251,30 +251,38 @@ class TestEngineResult:
 
 class TestPlanCacheSurfacing:
     def test_serial_run_reports_plan_activity(self):
-        from repro.bench.engine import _reset_worker_state
-
-        _reset_worker_state()
         result = run_grid(tiny_grid("fig8"), SERIAL)
         assert result.plan_cache_misses > 0
-        # Second run in the same process hits the warm memo: no new
-        # misses, and the delta honestly reports zero plan work.
-        warm = run_grid(tiny_grid("fig8"), SERIAL)
-        assert warm.plan_cache_misses == 0
-        assert warm.points == result.points
+        # Every task plans into its own fresh PlanCache, so a second run
+        # in the same process reports the same plan work.
+        again = run_grid(tiny_grid("fig8"), SERIAL)
+        assert (again.plan_cache_hits, again.plan_cache_misses) == (
+            result.plan_cache_hits, result.plan_cache_misses
+        )
+        assert again.points == result.points
+
+    def test_a_rerun_reports_the_same_rows_and_plan_counts(self):
+        # Nothing outlives a task, so the counters depend on the grid
+        # alone, on the per-point path as on the batched one.
+        from repro.bench import QUICK
+
+        grid = experiment_grid("ablation-demotion", QUICK)
+        golden = EngineConfig(workers=0, batch=False)
+        first = run_grid(grid, golden)
+        again = run_grid(grid, golden)
+        assert again.points == first.points
+        assert (first.plan_cache_hits, first.plan_cache_misses) == (534, 42)
+        assert (again.plan_cache_hits, again.plan_cache_misses) == (534, 42)
 
     def test_two_group_grid_reports_every_task_plan_delta(self):
-        # The memos hold one group, so the second group evicts the
-        # first's PlanCache mid-run; each task's delta must still come
-        # from the PlanCache it used.  (8, 88) is what a grid that keeps
-        # every group's memo reports for this grid.
+        # Each task reports the counts of the one PlanCache it built:
+        # (8, 88) is the sum over the two groups' fresh caches.
         from dataclasses import replace
 
         from repro.bench import QUICK
-        from repro.bench.engine import _reset_worker_state
         from repro.engine import PlanCache, intern_stream, make_backend
 
         scale = replace(QUICK, codes=("tip",), ps_main=(7, 11))
-        _reset_worker_state()
         result = run_grid(experiment_grid("fig8", scale), SERIAL)
         assert (result.plan_cache_hits, result.plan_cache_misses) == (8, 88)
         expected = [0, 0]
@@ -289,9 +297,6 @@ class TestPlanCacheSurfacing:
         assert [result.plan_cache_hits, result.plan_cache_misses] == expected
 
     def test_payload_carries_plan_counts(self):
-        from repro.bench.engine import _reset_worker_state
-
-        _reset_worker_state()
         result = run_grid(tiny_grid("fig8"), SERIAL)
         payload = bench_payload("fig8", "quick", result)
         assert payload["plan_cache_misses"] == result.plan_cache_misses
@@ -376,6 +381,32 @@ class TestDesObservability:
         assert "bench.des.fast_rows" not in counters
         golden = run_grid(grid, EngineConfig(workers=0, batch=False))
         assert rows_equivalent(batched.points, golden.points)
+
+
+class TestDesPlanCounts:
+    def test_batched_des_groups_report_their_fork_join_plans(self):
+        from repro.engine import make_backend
+        from repro.engine.forkjoin import ForkJoinGroup
+        from repro.sim import SimConfig
+
+        grid = experiment_grid("fig10", replace(TINY, codes=("tip", "star")))
+        groups = {
+            (p.code, p.p, p.n_errors, p.seed, p.sor_workers, p.chunk_size)
+            for p in grid
+        }
+        assert len(groups) == 2
+        expected = 0
+        for code, p, n_errors, seed, workers, chunk_size in groups:
+            backend = make_backend(code, p)
+            group = ForkJoinGroup(
+                backend,
+                backend.generate_events(n_errors, seed),
+                SimConfig(workers=workers, chunk_size=chunk_size),
+            )
+            expected += len(group.plan_samples)
+        result, counters = _observed(grid, SERIAL)
+        assert result.plan_cache_misses == expected > 0
+        assert counters["bench.plan_cache.misses"] == expected
 
 
 class TestFailedGridObs:

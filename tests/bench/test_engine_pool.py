@@ -66,11 +66,11 @@ class TestRunGridReuse:
 _TIMED_TASK = engine._timed_task
 
 
-def _die_on_star(points, replay=("exact", 0.01), batch=True):
+def _die_on_star(points, engine):
     """A pool task that kills its worker process on STAR cells."""
     if points[0].code == "star":
         os._exit(1)
-    return _TIMED_TASK(points, replay, batch)
+    return _TIMED_TASK(points, engine)
 
 
 @pytest.mark.skipif(

@@ -1,8 +1,9 @@
 """The refactor's determinism gate (ISSUE 3, DESIGN.md §10).
 
 ``golden_rows.json`` was captured from the PRE-unification replay
-implementations (``repro.sim.tracesim.simulate_cache_trace``,
-``repro.lrc.tracesim.simulate_lrc_trace``, ``repro.sim.reconstruction.
+implementations (the XOR trace replay, then in ``repro.sim.tracesim``
+and now ``repro.engine.tracesim.simulate_cache_trace``;
+``repro.lrc.tracesim.simulate_lrc_trace``; ``repro.sim.reconstruction.
 run_reconstruction``) before any engine code existed.  The unified
 engine must reproduce every row bit-for-bit: hit counts, request counts,
 disk reads — for all four XOR 3DFT codes and the LRC — and the timed

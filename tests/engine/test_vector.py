@@ -56,7 +56,7 @@ def _valid(config: ReplayConfig, n_events: int) -> bool:
     return not 0 < config.capacity_blocks < eff_workers
 
 
-def _stream_for(backend, events, plans=None):
+def _hint_streams(backend, events, plans=None):
     plans = plans if plans is not None else PlanCache(backend)
     memo = {}
 
@@ -106,7 +106,7 @@ def test_numpy_rows_equal_python(spec, config_list, n_events, seed, fast_path):
         backend, events, config_list, plan_cache=plans, lru_fast_path=False
     )
     rows = _replay_vector_rows(
-        config_list, _stream_for(backend, events, plans), fast_path
+        config_list, _hint_streams(backend, events, plans), fast_path
     )
     # The fleet takes every plain cell with a non-empty slice; plain LRU
     # only with fast_path off (on, the reuse-distance profile owns it).
@@ -129,7 +129,7 @@ def test_fleet_takes_more_than_64_sizes():
         for policy in ("fifo", "arc")
         for size in range(1, 80)
     ]
-    rows = _replay_vector_rows(config_list, _stream_for(backend, events), True)
+    rows = _replay_vector_rows(config_list, _hint_streams(backend, events), True)
     assert len(rows) == len(config_list)
     reference = simulate_grid_pass(
         backend, events, config_list, lru_fast_path=False
@@ -185,7 +185,7 @@ class TestVectorRows:
         # stepped path owns it, so no row comes back for that index.
         backend = make_backend("tip", 5)
         events = backend.generate_events(4, 1)
-        stream_for = _stream_for(backend, events)
+        stream_for = _hint_streams(backend, events)
         rows = _replay_vector_rows(
             [ReplayConfig(policy="fifo", capacity_blocks=0, workers=2)],
             stream_for,
@@ -196,7 +196,7 @@ class TestVectorRows:
     def test_lru_ownership_flag(self):
         backend = make_backend("tip", 5)
         events = backend.generate_events(4, 1)
-        stream_for = _stream_for(backend, events)
+        stream_for = _hint_streams(backend, events)
         config = [ReplayConfig(policy="lru", capacity_blocks=8, workers=2)]
         assert _replay_vector_rows(config, stream_for, True) == {}
         taken = _replay_vector_rows(config, stream_for, False)
@@ -257,7 +257,7 @@ class TestShapeRule:
             for policy in sorted(VECTOR_POLICIES)
             for size in sizes
         ]
-        stream_for = _stream_for(backend, events)
+        stream_for = _hint_streams(backend, events)
 
         def distincts_for(st, w):
             return [len(set(bids)) for bids, _ in st.worker_substreams(w)]

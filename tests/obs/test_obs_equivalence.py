@@ -77,9 +77,6 @@ class TestRowEquality:
 
 class TestCollectedMetrics:
     def test_grid_run_populates_engine_and_bench_layers(self):
-        from repro.bench.engine import _reset_worker_state
-
-        _reset_worker_state()  # warm memos would hide all plan-cache work
         registry = runtime.enable(fresh=True)
         result = api.run_grid(api.experiment_grid("fig8", _small_scale()))
         runtime.disable()
@@ -111,9 +108,6 @@ class TestCollectedMetrics:
         assert snap["histograms"]["kernel.resource.wait_vtime"]["count"] > 0
 
     def test_plan_cache_counts_surface_through_run_grid(self):
-        from repro.bench.engine import _reset_worker_state
-
         runtime.disable()
-        _reset_worker_state()
         result = api.run_grid(api.experiment_grid("fig8", _small_scale()))
         assert result.plan_cache_hits + result.plan_cache_misses > 0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.engine import EnginePool
 from repro.engine import make_backend, simulate_grid_pass
 from repro.engine.stream import ReplayConfig
 from repro.serve import ArraySpec, CacheAdvisor, ServeConfig, SyntheticSource, pick_winner
@@ -85,26 +84,6 @@ class TestAdviseMatchesOffline:
         advisor.ingest(source.next_batch())
         assert advisor.evaluate() is not first
         assert advisor.evaluations == 2
-
-
-class TestPooledAdvisor:
-    def test_pooled_rows_equal_in_process_and_offline(self):
-        """``serve --engine-workers 2``: the grid sharded over an
-        EnginePool reassembles the in-process rows and the offline grid
-        pass, window after window (compaction included)."""
-        config = _config()
-        local = CacheAdvisor(config)
-        source = SyntheticSource("tip", 5, chunk=12, seed=5)
-        with EnginePool(workers=2) as pool:
-            pooled = CacheAdvisor(config, pool=pool)
-            for batch in source.batches(12):
-                local.ingest(batch)
-                pooled.ingest(batch)
-                rows = pooled.evaluate()
-                assert rows == local.evaluate()
-                assert rows == _offline_rows(pooled)
-            assert pool.active
-        assert pooled.interner.first_event > 0
 
 
 class TestPickWinner:

@@ -10,7 +10,7 @@ import signal
 import pytest
 
 from repro.obs import runtime
-from repro.serve import AdvisorServer, ServeConfig, SyntheticSource
+from repro.serve import AdvisorServer, ServeConfig, SyntheticSource, record_lines
 from repro.serve.server import _read_line
 
 
@@ -216,6 +216,32 @@ class TestWire:
 
         asyncio.run(scenario())
 
+    def test_a_client_closing_mid_line_sends_one_bad_line(self):
+        """A record without its newline at EOF is counted, never ingested."""
+
+        async def scenario():
+            server = AdvisorServer(_config(), metrics_port=None)
+            await server.start()
+            line = record_lines(SyntheticSource("tip", 5, chunk=1).next_batch())
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            # The same record twice, the second without its newline.
+            writer.write((line + line.rstrip("\n")).encode())
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            deadline = asyncio.get_running_loop().time() + 10
+            while server.queue.accepted + server.queue.invalid < 2:
+                assert asyncio.get_running_loop().time() < deadline, "lines unread"
+                await asyncio.sleep(0.02)
+            await _drain_until(server, 1)
+            stats = (await _query(server.port, {"op": "stats"}))["stats"]
+            assert (stats["accepted"], stats["invalid"]) == (1, 1)
+            server.request_shutdown()
+            await server.serve_forever()
+            assert server.advisor.interner.events_seen == 1
+
+        asyncio.run(scenario())
+
     def test_over_long_line_is_one_bad_line(self):
         """Both overrun shapes skip exactly through the newline."""
 
@@ -232,7 +258,7 @@ class TestWire:
             reader.feed_data(b"z" * 40 + b"\nlast")
             reader.feed_eof()
             assert await pending is None
-            assert await _read_line(reader) == b"last"
+            assert await _read_line(reader) is None  # unterminated tail
             assert await _read_line(reader) == b""
 
         asyncio.run(scenario())

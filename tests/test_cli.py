@@ -54,6 +54,12 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([*command, "--no-batch"])
 
+    def test_serve_has_no_engine_workers(self):
+        # The advisor evaluates in-process; there is no pool to size.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", "--engine-workers", "2"])
+        assert info.value.code == 2
+
 
 class TestInfo:
     def test_prints_layout(self, capsys):
@@ -112,9 +118,6 @@ class TestBench:
     def test_writes_bench_json(self, capsys, tmp_path):
         import json
 
-        from repro.bench.engine import _reset_worker_state
-
-        _reset_worker_state()  # warm memos would zero the plan-cache delta
         rc = main(["bench", "fig9", *self._ARGS, "--engine-workers", "0",
                    "--no-cache", "--out", str(tmp_path)])
         assert rc == 0
