@@ -624,11 +624,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                 feeder.cancel()
         emit(f"drained; final stats: {server.stats()}")
 
-    try:
-        asyncio.run(run())
-    finally:
-        if pool is not None:
-            pool.close()
+    asyncio.run(run())
     return 0
 
 

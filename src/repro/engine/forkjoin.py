@@ -22,6 +22,7 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..cache.registry import POLICIES, make_policy
+from ..obs import runtime as _obs
 from .backend import CodeBackend
 from .stream import SATURATION_SAFE_POLICIES, intern_stream
 from .tracesim import PlanCache, effective_partition
@@ -102,6 +103,10 @@ class ForkJoinGroup:
                 plan.priorities  # materialised inside the timed region
                 samples.append(time.perf_counter() - t0)
         self.plan_samples = tuple(samples)
+        if _obs.ENABLED:  # the builds; intern_stream below publishes its own hits
+            hits, misses = plans.counts()
+            _obs.counter("engine.plan_cache.hits").inc(hits)
+            _obs.counter("engine.plan_cache.misses").inc(misses)
 
         geometry = backend.make_geometry(
             chunk_size=config.chunk_bytes, stripes=config.array_stripes

@@ -9,6 +9,12 @@ handle stays harmless.  When enabled, handles resolve to real objects in
 one :class:`MetricRegistry`, which the exporters
 (:mod:`repro.obs.export`) and the ``repro-fbf obs`` summary read.
 
+A registry may be shared by two threads (the advisor service replays
+windows on a thread beside its event loop).  Creating a metric,
+recording a span and taking a snapshot hold the registry's lock; the
+update methods (``inc``, ``set``, ``observe``) take none, because each
+metric has a single writer thread.
+
 Metric names are dotted, ``<layer>.<subsystem>.<quantity>`` —
 ``kernel.events_dispatched``, ``engine.plan_cache.hits``,
 ``bench.point_seconds`` — so the summary can group by layer and the
@@ -18,6 +24,7 @@ underscores under a ``repro_`` prefix).
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from typing import Any, Iterator, Mapping
 
@@ -236,10 +243,13 @@ class MetricRegistry:
 
     Metric accessors are get-or-create and type-checked: asking for
     ``counter(name)`` after ``gauge(name)`` is a programming error and
-    raises immediately rather than silently aliasing.
+    raises immediately rather than silently aliasing.  Creation, span
+    recording and :meth:`snapshot` hold ``_lock``; a lookup of an
+    existing metric takes no lock.
     """
 
-    __slots__ = ("_metrics", "_spans", "_span_stats", "max_spans", "spans_dropped")
+    __slots__ = ("_metrics", "_spans", "_span_stats", "max_spans", "spans_dropped",
+                 "_lock")
 
     def __init__(self, max_spans: int = 4096):
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
@@ -247,12 +257,16 @@ class MetricRegistry:
         self._span_stats: dict[str, list[float]] = {}  # name -> [count, total, max]
         self.max_spans = max_spans
         self.spans_dropped = 0
+        self._lock = threading.Lock()
 
     def _get(self, name: str, cls: type) -> Any:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = cls(name)
-        elif type(metric) is not cls:
+            with self._lock:
+                metric = self._metrics.get(name)
+                if metric is None:
+                    metric = self._metrics[name] = cls(name)
+        if type(metric) is not cls:
             raise TypeError(
                 f"metric {name!r} already registered as {type(metric).__name__}, "
                 f"requested {cls.__name__}"
@@ -272,46 +286,53 @@ class MetricRegistry:
         return Span(name, dict(attrs) if attrs else {}, self)
 
     def _record_span(self, span: Span) -> None:
-        if len(self._spans) < self.max_spans:
-            self._spans.append(span)
-        else:
-            self.spans_dropped += 1
-        stats = self._span_stats.get(span.name)
-        if stats is None:
-            self._span_stats[span.name] = [1, span.duration_s, span.duration_s]
-        else:
-            stats[0] += 1
-            stats[1] += span.duration_s
-            if span.duration_s > stats[2]:
-                stats[2] = span.duration_s
+        with self._lock:
+            if len(self._spans) < self.max_spans:
+                self._spans.append(span)
+            else:
+                self.spans_dropped += 1
+            stats = self._span_stats.get(span.name)
+            if stats is None:
+                self._span_stats[span.name] = [1, span.duration_s, span.duration_s]
+            else:
+                stats[0] += 1
+                stats[1] += span.duration_s
+                if span.duration_s > stats[2]:
+                    stats[2] = span.duration_s
 
     def metrics(self) -> Iterator[Counter | Gauge | Histogram]:
-        yield from self._metrics.values()
+        with self._lock:
+            metrics = list(self._metrics.values())
+        yield from metrics
 
     @property
     def spans(self) -> list[Span]:
-        return self._spans
+        """The retained raw spans (a copy)."""
+        with self._lock:
+            return list(self._spans)
 
     def snapshot(self) -> dict[str, Any]:
         """Everything, as plain JSON-ready data (the exporters' input)."""
         counters: dict[str, int | float] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, dict[str, Any]] = {}
-        for metric in self._metrics.values():
-            if isinstance(metric, Counter):
-                counters[metric.name] = metric.snapshot()
-            elif isinstance(metric, Gauge):
-                gauges[metric.name] = metric.snapshot()
-            else:
-                histograms[metric.name] = metric.snapshot()
-        spans = {
-            name: {"count": int(c), "total_s": t, "max_s": m}
-            for name, (c, t, m) in sorted(self._span_stats.items())
-        }
+        with self._lock:
+            for metric in self._metrics.values():
+                if isinstance(metric, Counter):
+                    counters[metric.name] = metric.snapshot()
+                elif isinstance(metric, Gauge):
+                    gauges[metric.name] = metric.snapshot()
+                else:
+                    histograms[metric.name] = metric.snapshot()
+            spans = {
+                name: {"count": int(c), "total_s": t, "max_s": m}
+                for name, (c, t, m) in sorted(self._span_stats.items())
+            }
+            spans_dropped = self.spans_dropped
         return {
             "counters": dict(sorted(counters.items())),
             "gauges": dict(sorted(gauges.items())),
             "histograms": dict(sorted(histograms.items())),
             "spans": spans,
-            "spans_dropped": self.spans_dropped,
+            "spans_dropped": spans_dropped,
         }

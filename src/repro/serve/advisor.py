@@ -10,25 +10,36 @@ that window: ``simulate_grid_pass(backend, window, configs)`` offline
 and :meth:`CacheAdvisor.evaluate` return identical rows, and
 :func:`pick_winner` is the single ranking both sides share.
 
-Evaluations are memoized per window position, so a burst of ``advise``
-queries between ingest batches costs one replay: the whole candidate
-grid rides a single interned pass in-process.
+An evaluation replays a :class:`Window`, a copy of the window taken
+from the interner (:meth:`CacheAdvisor.snapshot`).  It reads nothing
+else the advisor mutates, so the server takes the snapshot on its event
+loop and replays it on a thread of its own while the loop keeps
+ingesting.  Evaluations are memoized per window, so a burst of
+``advise`` queries between ingest batches costs one replay: the whole
+candidate grid rides a single interned pass.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..engine.registry import make_backend
-from ..engine.stream import ReplayConfig, StreamInterner, simulate_grid_pass
+from ..engine.stream import (
+    InternedStream,
+    ReplayConfig,
+    StreamInterner,
+    simulate_grid_pass,
+)
 from ..engine.tracesim import TraceSimResult
 from ..obs import runtime as _obs
 from ..utils import parse_size
 from ..workloads import PartialStripeError
 from .config import Advice, ArraySpec, ServeConfig
+from .loadgen import record_json, records_for
 
-__all__ = ["CacheAdvisor", "pick_winner"]
+__all__ = ["CacheAdvisor", "Window", "pick_winner"]
 
 
 def pick_winner(rows: Sequence[TraceSimResult]) -> TraceSimResult:
@@ -48,6 +59,27 @@ def pick_winner(rows: Sequence[TraceSimResult]) -> TraceSimResult:
 def _confidence(fill: float, lead: float) -> float:
     """``fill * (1 - 1/(1 + 100*lead))`` — see :class:`Advice`."""
     return fill * (1.0 - 1.0 / (1.0 + 100.0 * max(lead, 0.0)))
+
+
+@dataclass(frozen=True, eq=False)
+class Window:
+    """One evaluation's input: log positions ``[start, stop)`` at ``workers``.
+
+    ``events`` and ``stream`` are fresh copies out of the interner
+    (``events_slice`` and ``window``); later ``extend`` and ``compact``
+    calls never touch them, so the window can be replayed on another
+    thread while ingest goes on.
+    """
+
+    start: int
+    stop: int
+    workers: int
+    events: list[PartialStripeError]
+    stream: InternedStream
+
+    @property
+    def key(self) -> tuple[int, int, int]:
+        return (self.start, self.stop, self.workers)
 
 
 class CacheAdvisor:
@@ -73,8 +105,13 @@ class CacheAdvisor:
         self.batches = 0
         self.evaluations = 0
         self.out_of_order = 0
+        #: The checkpoint record of each retained event as JSON text
+        #: (:func:`~repro.serve.loadgen.record_json`), encoded once at
+        #: ingest: ``checkpoint_records[i]`` is log position
+        #: ``first_event + i``.
+        self.checkpoint_records: list[str] = []
         self._grids: dict[int, list[ReplayConfig]] = {}
-        self._memo: tuple[tuple[int, int, int], list[TraceSimResult]] | None = None
+        self._memo: tuple[Window, list[TraceSimResult]] | None = None
 
     # -- geometry -----------------------------------------------------------
 
@@ -110,6 +147,18 @@ class CacheAdvisor:
         start, stop = self.window_bounds()
         return self.interner.events_slice(start, stop)
 
+    def snapshot(self, workers: int | None = None) -> Window:
+        """The current window at ``workers``, copied out of the interner."""
+        workers = self.config.workers if workers is None else workers
+        start, stop = self.window_bounds()
+        return Window(
+            start,
+            stop,
+            workers,
+            self.interner.events_slice(start, stop),
+            self.interner.window(start, stop),
+        )
+
     # -- ingest -------------------------------------------------------------
 
     def ingest(self, events: Sequence[PartialStripeError]) -> int:
@@ -130,11 +179,12 @@ class CacheAdvisor:
             if _obs.ENABLED:
                 _obs.counter("serve.ingest.out_of_order").inc()
         n = self.interner.extend(batch)
+        self.checkpoint_records.extend(map(record_json, batch))
         self.batches += 1
-        self._memo = None
         cap = self.config.compact_factor * self.config.window_events
         if self.interner.events_seen - self.interner.first_event > cap:
-            self.interner.compact(self.config.window_events)
+            dropped = self.interner.compact(self.config.window_events)
+            del self.checkpoint_records[:dropped]
         if _obs.ENABLED:
             start, stop = self.window_bounds()
             _obs.counter("serve.ingest.batches").inc()
@@ -144,29 +194,42 @@ class CacheAdvisor:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, workers: int | None = None) -> list[TraceSimResult]:
-        """Replay the current window over the candidate grid.
+    def memoized(self, workers: int) -> tuple[Window, list[TraceSimResult]] | None:
+        """The last evaluation, if it replayed the current window at ``workers``."""
+        memo = self._memo
+        if memo is not None and memo[0].key == (*self.window_bounds(), workers):
+            return memo
+        return None
 
-        Returns one row per grid cell, bit-for-bit equal to the offline
-        ``simulate_grid_pass(backend, window_events(), grid(workers))``.
-        Memoized until the next ingest batch moves the window.
+    def evaluate(
+        self, workers: int | None = None, window: Window | None = None
+    ) -> list[TraceSimResult]:
+        """Replay ``window`` over the candidate grid at its fan-out.
+
+        ``window`` defaults to a :meth:`snapshot` of the current window
+        at ``workers``.  Returns one row per grid cell, bit-for-bit equal
+        to the offline ``simulate_grid_pass(backend, window.events,
+        grid(window.workers))``.  It reads the window, the grid and the
+        backend, never the interner (whose arrays and ``PlanCache``
+        ``ingest`` mutates), so the server runs it on its evaluation
+        thread.  Memoized per window: log positions are stable, so a
+        window's rows never go stale.
         """
-        workers = workers if workers is not None else self.config.workers
-        start, stop = self.window_bounds()
-        key = (start, stop, workers)
-        if self._memo is not None and self._memo[0] == key:
-            return self._memo[1]
-        configs = self.grid(workers)
+        if window is None:
+            workers = self.config.workers if workers is None else workers
+            memo = self.memoized(workers)
+            if memo is not None:
+                return memo[1]
+            window = self.snapshot(workers)
         t0 = time.perf_counter()
         rows = simulate_grid_pass(
             self.backend,
-            self.interner.events_slice(start, stop),
-            configs,
-            plan_cache=self.interner.plan_cache,
-            stream=self.interner.window(start, stop),
+            window.events,
+            self.grid(window.workers),
+            stream=window.stream,
         )
         self.evaluations += 1
-        self._memo = (key, rows)
+        self._memo = (window, rows)
         if _obs.ENABLED:
             _obs.counter("serve.evaluate.count").inc()
             _obs.histogram("serve.evaluate.seconds").observe(
@@ -176,36 +239,55 @@ class CacheAdvisor:
 
     # -- the query ----------------------------------------------------------
 
-    def advise(self, spec: ArraySpec | None = None) -> Advice:
-        """Answer "what policy/capacity should this array run?"."""
-        t0 = time.perf_counter()
+    def workers_for(self, spec: ArraySpec | None) -> int:
+        """The SOR fan-out ``spec`` asks for; refuses a different array."""
         if spec is None:
-            spec = ArraySpec(code=self.config.code, p=self.config.p)
+            return self.config.workers
         if spec.code != self.config.code or spec.p != self.config.p:
             raise ValueError(
                 f"advisor serves {self.config.code} p={self.config.p}, "
                 f"not {spec.code} p={spec.p}"
             )
-        workers = spec.workers if spec.workers is not None else self.config.workers
-        rows = self.evaluate(workers)
+        return spec.workers if spec.workers is not None else self.config.workers
+
+    def advise(self, spec: ArraySpec | None = None) -> Advice:
+        """Answer "what policy/capacity should this array run?"."""
+        started = time.perf_counter()
+        workers = self.workers_for(spec)
+        memo = self.memoized(workers)
+        if memo is None:
+            window = self.snapshot(workers)
+            memo = (window, self.evaluate(window=window))
+        return self.advice(*memo, started=started)
+
+    def advice(
+        self, window: Window, rows: Sequence[TraceSimResult], started: float
+    ) -> Advice:
+        """The answer ``rows``, the evaluation of ``window``, give.
+
+        The one place an :class:`Advice` is built, for :meth:`advise` and
+        the server alike: it describes the evaluated window, whatever the
+        log holds by now.  Records the advise metrics, the latency
+        counted from ``started`` (a ``time.perf_counter()`` reading).
+        """
         winner = pick_winner(rows)
         runners = [r.hit_ratio for r in rows if r is not winner]
         lead = winner.hit_ratio - max(runners) if runners else winner.hit_ratio
-        start, stop = self.window_bounds()
-        fill = min(1.0, (stop - start) / self.config.window_events)
+        n_events = window.stop - window.start
+        fill = min(1.0, n_events / self.config.window_events)
         advice = Advice(
             policy=winner.policy,
             cache_mb=winner.capacity_blocks * self.block_size / (1024 * 1024),
             capacity_blocks=winner.capacity_blocks,
             hit_ratio=winner.hit_ratio,
             confidence=_confidence(fill, lead),
-            window_events=stop - start,
-            window_start=start,
+            window_events=n_events,
+            window_start=window.start,
             evaluated=len(rows),
             workers=winner.workers,
         )
         if _obs.ENABLED:
-            latency = time.perf_counter() - t0
+            latency = time.perf_counter() - started
             _obs.counter("serve.advise.count").inc()
             hist = _obs.histogram("serve.advise.latency")
             hist.observe(latency)
@@ -216,20 +298,24 @@ class CacheAdvisor:
 
     # -- checkpoint payload ---------------------------------------------------
 
-    def state(self) -> dict:
-        """Replay state for checkpointing (events + counters + positions)."""
-        from .loadgen import records_for
+    def state(self, events: bool = True) -> dict:
+        """Replay state for checkpointing (events + counters + positions).
 
-        return {
+        ``events=False`` leaves out the event records, which the
+        checkpoint writer joins from :attr:`checkpoint_records` instead.
+        """
+        state = {
             "fingerprint": self.config.fingerprint(),
             "dropped": self.interner.first_event,
-            "events": records_for(
-                self.interner.events_slice(self.interner.first_event)
-            ),
             "batches": self.batches,
             "evaluations": self.evaluations,
             "out_of_order": self.out_of_order,
         }
+        if events:
+            state["events"] = records_for(
+                self.interner.events_slice(self.interner.first_event)
+            )
+        return state
 
     @classmethod
     def from_state(cls, config: ServeConfig, state: dict) -> "CacheAdvisor":
@@ -249,6 +335,7 @@ class CacheAdvisor:
         advisor = cls(config)
         events = [PartialStripeError(**r) for r in state.get("events", ())]
         advisor.interner.extend(events)
+        advisor.checkpoint_records = [record_json(e) for e in events]
         advisor.interner._dropped = int(state.get("dropped", 0))
         advisor.batches = int(state.get("batches", 0))
         advisor.evaluations = int(state.get("evaluations", 0))

@@ -7,6 +7,12 @@ checkpoint intact.  Restoring replays the retained events through a
 fresh interner — interning is a pure function of the event sequence, so
 the restored advisor's next evaluation is bit-identical to what the
 pre-crash process would have produced.
+
+The file is canonical JSON (sorted keys, no spaces), so identical state
+gives identical bytes.  The writer does not re-encode the retained log:
+the advisor encodes each event's record once at ingest
+(``CacheAdvisor.checkpoint_records``) and the writer joins those texts
+into the document.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from pathlib import Path
 from ..obs import runtime as _obs
 from .advisor import CacheAdvisor
 from .config import ServeConfig
+from .loadgen import canonical_json
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -31,11 +38,24 @@ __all__ = [
 CHECKPOINT_SCHEMA = 1
 
 
+def _checkpoint_text(advisor: CacheAdvisor) -> str:
+    """``canonical_json({"schema": CHECKPOINT_SCHEMA, "state":
+    advisor.state()})``, byte for byte, with the event list joined from
+    ``checkpoint_records``."""
+    state = advisor.state(events=False)
+    events = "[" + ",".join(advisor.checkpoint_records) + "]"
+    fields = ",".join(
+        f"{canonical_json(key)}:"
+        f"{events if key == 'events' else canonical_json(state[key])}"
+        for key in sorted([*state, "events"])
+    )
+    return f'{{"schema":{canonical_json(CHECKPOINT_SCHEMA)},"state":{{{fields}}}}}'
+
+
 def write_checkpoint(path: str | Path, advisor: CacheAdvisor) -> Path:
     """Atomically persist the advisor's replay state; returns the path."""
     path = Path(path)
-    payload = {"schema": CHECKPOINT_SCHEMA, "state": advisor.state()}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = _checkpoint_text(advisor)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         prefix=path.name + ".", suffix=".tmp", dir=path.parent

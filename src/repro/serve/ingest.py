@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from collections import deque
 from typing import Any
 
@@ -27,8 +28,9 @@ def parse_record(line: str | bytes) -> PartialStripeError:
     """One JSON-lines wire record -> a validated event.
 
     Raises ``ValueError`` for anything malformed: bad JSON or UTF-8,
-    nesting too deep to decode, a non-object payload, missing fields, or
-    field values the event type rejects.
+    nesting too deep to decode, a non-object payload, missing fields, a
+    time that is not finite (``NaN``, ``Infinity``, ``1e400``), or field
+    values the event type rejects.
     """
     try:
         payload: Any = json.loads(line)
@@ -40,8 +42,11 @@ def parse_record(line: str | bytes) -> PartialStripeError:
     if missing:
         raise ValueError(f"record missing fields: {', '.join(missing)}")
     try:
+        time = float(payload["time"])
+        if not math.isfinite(time):
+            raise ValueError(f"time must be finite, got {time}")
         return PartialStripeError(
-            time=float(payload["time"]),
+            time=time,
             stripe=int(payload["stripe"]),
             disk=int(payload["disk"]),
             start_row=int(payload["start_row"]),

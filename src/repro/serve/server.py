@@ -1,6 +1,6 @@
 """The always-on advisor service: asyncio ingest, query, and metrics.
 
-One single-threaded event loop owns everything:
+One event loop owns everything but the window replays:
 
 * a JSON-lines TCP endpoint where each line is either an ingest record
   (no ``"op"`` key — parsed into the bounded queue, overflow shed) or a
@@ -14,9 +14,17 @@ One single-threaded event loop owns everything:
 * a bare-bones HTTP responder serving the Prometheus scrape at
   ``/metrics``.
 
+An ``advise`` takes a snapshot of the window on the loop
+(:meth:`CacheAdvisor.snapshot`) and replays it with
+:meth:`CacheAdvisor.evaluate` on the server's one evaluation thread, so
+the loop keeps reading, batching and checkpointing meanwhile.  One
+evaluation runs at a time, advises for the same window await the same
+one, and every answer describes the window that was evaluated.
+
 Shutdown (``SIGTERM``/``SIGINT``/the ``shutdown`` op) is a graceful
 drain: listeners stop accepting, every event already queued is batched
-into the advisor, a final checkpoint lands, and only then does
+into the advisor, evaluations in flight finish and the evaluation
+thread is joined, a final checkpoint lands, and only then does
 :meth:`AdvisorServer.serve_forever` return.  Nothing accepted is ever
 dropped by shutdown — only queue overflow sheds, and that is counted.
 """
@@ -24,17 +32,21 @@ dropped by shutdown — only queue overflow sheds, and that is counted.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import signal
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
+from ..engine.tracesim import TraceSimResult
 from ..obs import runtime as _obs
 from ..obs.export import prometheus_http_payload
 from ..workloads import PartialStripeError
-from .advisor import CacheAdvisor
+from .advisor import CacheAdvisor, Window
 from .checkpoint import restore_advisor, write_checkpoint
-from .config import ArraySpec, ServeConfig
+from .config import Advice, ArraySpec, ServeConfig
 from .ingest import BoundedIngestQueue
 
 __all__ = ["AdvisorServer"]
@@ -95,6 +107,14 @@ class AdvisorServer:
         self._stop = asyncio.Event()
         self._drained = asyncio.Event()
         self._batches_since_checkpoint = 0
+        # One thread replays windows; None once it is joined at shutdown.
+        self._evaluator: ThreadPoolExecutor | None = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="advisor-evaluate"
+        )
+        #: window key -> (the snapshot, its evaluation in flight)
+        self._evaluating: dict[
+            tuple[int, int, int], tuple[Window, asyncio.Future]
+        ] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -162,6 +182,15 @@ class AdvisorServer:
                     await server.wait_closed()
                 except Exception:  # pragma: no cover
                     pass
+        # Let the evaluations in flight answer, then join their thread:
+        # nothing awaits between the last check and the join.
+        while self._evaluating:
+            await asyncio.gather(
+                *(future for _, future in self._evaluating.values()),
+                return_exceptions=True,
+            )
+        evaluator, self._evaluator = self._evaluator, None
+        evaluator.shutdown(wait=True)
         if self.config.checkpoint_path:
             write_checkpoint(self.config.checkpoint_path, self.advisor)
         if _obs.ENABLED:
@@ -236,7 +265,7 @@ class AdvisorServer:
                 if op is None:
                     self.queue.push_line(line)
                     continue
-                response = self._answer(op)
+                response = await self._answer(op)
                 writer.write(
                     json.dumps(response, sort_keys=True).encode("utf-8")
                     + b"\n"
@@ -264,7 +293,7 @@ class AdvisorServer:
             return payload
         return None
 
-    def _answer(self, request: dict) -> dict:
+    async def _answer(self, request: dict) -> dict:
         op = request.get("op")
         try:
             if op == "ping":
@@ -279,7 +308,8 @@ class AdvisorServer:
                         else None
                     ),
                 )
-                return {"ok": True, "op": op, "advice": self.advisor.advise(spec).to_dict()}
+                advice = await self._advise(spec)
+                return {"ok": True, "op": op, "advice": advice.to_dict()}
             if op == "stats":
                 return {"ok": True, "op": op, "stats": self.stats()}
             if op == "shutdown":
@@ -288,6 +318,36 @@ class AdvisorServer:
             return {"ok": False, "error": f"unknown op: {op!r}"}
         except (TypeError, ValueError, OverflowError) as exc:  # bad fields
             return {"ok": False, "op": op, "error": str(exc)}
+
+    async def _advise(self, spec: ArraySpec) -> Advice:
+        """Answer one ``advise``; the window replays off the loop."""
+        started = time.perf_counter()
+        advisor = self.advisor
+        workers = advisor.workers_for(spec)
+        memo = advisor.memoized(workers)
+        if memo is None:
+            memo = await self._evaluate(workers)
+        return advisor.advice(*memo, started=started)
+
+    async def _evaluate(
+        self, workers: int
+    ) -> tuple[Window, list[TraceSimResult]]:
+        """The current window at ``workers`` and its rows from the thread."""
+        key = (*self.advisor.window_bounds(), workers)
+        pending = self._evaluating.get(key)
+        if pending is None:
+            if self._evaluator is None:
+                raise ValueError("the server is shutting down")
+            window = self.advisor.snapshot(workers)
+            future = asyncio.get_running_loop().run_in_executor(
+                self._evaluator,
+                functools.partial(self.advisor.evaluate, window=window),
+            )
+            pending = self._evaluating[key] = (window, future)
+            future.add_done_callback(lambda _: self._evaluating.pop(key, None))
+        window, future = pending
+        # shield: a cancelled advise must not cancel the others' evaluation
+        return window, await asyncio.shield(future)
 
     def stats(self) -> dict:
         start, stop = self.advisor.window_bounds()

@@ -10,7 +10,10 @@ fails (exit 1) if any of the always-on service's contracts broke:
   ``simulate_grid_pass`` over the same window — the recommendation is a
   replay, not an estimate;
 * the Prometheus scrape must carry the ``serve.*`` series, including
-  the ``serve.advise.latency`` histogram and its p99 gauge.
+  the ``serve.advise.latency`` histogram and its p99 gauge;
+* a second server started on the checkpoint the first one wrote at its
+  drain must say it resumed, serve the same advice over TCP, and its
+  advisor's ``evaluate()`` rows must equal the live server's.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ import argparse
 import asyncio
 import json
 import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 from ..engine.registry import make_backend
 from ..engine.stream import ReplayConfig, simulate_grid_pass
@@ -119,7 +125,38 @@ def _offline_winner(server: AdvisorServer) -> dict:
 
 async def run_smoke(n_batches: int = 8, timeout: float = 30.0) -> dict:
     """Run the whole scenario; returns a report dict, raises on failure."""
-    config = smoke_config()
+    with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
+        config = replace(
+            smoke_config(), checkpoint_path=str(Path(tmp) / "advisor.ckpt")
+        )
+        report = await _live(config, n_batches, timeout)
+        rows = report.pop("rows")
+        report["resumed"] = await _resumed(config, report["advice"], rows)
+    return report
+
+
+async def _resumed(config: ServeConfig, advice: dict, rows: list) -> dict:
+    """Restart on the drained server's checkpoint; it must carry on exactly."""
+    server = AdvisorServer(config, metrics_port=None)
+    failures: list[str] = []
+    if not server.resumed:
+        failures.append("restart did not resume from the checkpoint")
+    await server.start()
+    try:
+        answer = await _query(server.port, {"op": "advise"})
+        if answer.get("advice") != advice:
+            failures.append(f"resumed advice {answer.get('advice')} != live {advice}")
+        if server.advisor.evaluate() != rows:
+            failures.append("resumed evaluate() rows differ from the live ones")
+    finally:
+        server.request_shutdown()
+        await server.serve_forever()
+    if failures:
+        raise AssertionError("; ".join(failures))
+    return {"events_seen": server.advisor.interner.events_seen}
+
+
+async def _live(config: ServeConfig, n_batches: int, timeout: float) -> dict:
     server = AdvisorServer(config)
     await server.start()
     failures: list[str] = []
@@ -181,6 +218,7 @@ async def run_smoke(n_batches: int = 8, timeout: float = 30.0) -> dict:
         "offline": offline,
         "stats": stats,
         "series": sorted(s for s in present if s.startswith("repro_serve")),
+        "rows": server.advisor.evaluate(),  # the advised window's, memoized
     }
 
 

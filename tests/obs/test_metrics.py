@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs import (
@@ -113,6 +116,50 @@ class TestRegistry:
         assert len(reg.spans) == 2
         assert reg.spans_dropped == 3
         assert reg.snapshot()["spans"]["phase"]["count"] == 5  # aggregate unbounded
+
+
+    def test_snapshot_while_other_threads_create_metrics(self):
+        """Writer threads create counters and record spans while the main
+        thread snapshots (and renders the scrape): nothing raises and
+        every count lands.  Each counter has one writer, as in the
+        advisor service."""
+        from repro.obs.export import to_prometheus
+
+        reg = MetricRegistry(max_spans=64)
+        n_threads, n = 3, 7000
+        errors: list[BaseException] = []
+
+        def writer(k: int) -> None:
+            try:
+                for i in range(n):
+                    reg.counter(f"engine.grid.t{k}.c{i}").inc()
+                    with reg.span("engine.grid_pass"):
+                        pass
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(n_threads)]
+        try:
+            for thread in threads:
+                thread.start()
+            snapshots = 0
+            while any(thread.is_alive() for thread in threads):
+                reg.snapshot()
+                to_prometheus(reg)
+                snapshots += 1
+        finally:
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        snap = reg.snapshot()
+        assert sum(snap["counters"].values()) == n_threads * n
+        assert snap["spans"]["engine.grid_pass"]["count"] == n_threads * n
+        assert len(reg.spans) + reg.spans_dropped == n_threads * n
+        assert snapshots > 0
 
 
 class TestRuntime:

@@ -91,6 +91,18 @@ class TestCollectedMetrics:
         assert "engine.grid_pass" in snap["spans"]
         assert snap["histograms"]["bench.point_seconds"]["count"] == result.n_points
 
+    def test_fork_join_plan_builds_reach_the_engine_layer(self):
+        # Batched des groups build their plans in ForkJoinGroup's Table IV
+        # timing loop; the engine layer must count the same builds.
+        registry = runtime.enable(fresh=True)
+        result = api.run_grid(api.experiment_grid("fig10", _small_scale()))
+        runtime.disable()
+        counters = registry.snapshot()["counters"]
+        assert counters["bench.des.fast_rows"] > 0
+        assert result.plan_cache_misses > 0
+        assert counters["engine.plan_cache.misses"] == result.plan_cache_misses
+        assert counters["engine.plan_cache.misses"] == counters["bench.plan_cache.misses"]
+
     def test_kernel_run_populates_kernel_layer(self):
         from repro.engine.timed import run_timed_replay
         from repro.sim import SimConfig

@@ -11,9 +11,12 @@ from repro.serve import (
     ServeConfig,
     SyntheticSource,
     load_checkpoint,
+    records_for,
     restore_advisor,
     write_checkpoint,
 )
+from repro.serve.loadgen import record_json
+from repro.workloads import PartialStripeError
 
 
 def _config(**overrides) -> ServeConfig:
@@ -66,6 +69,40 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
         state = load_checkpoint(first)
         assert state["fingerprint"] == advisor.config.fingerprint()
+
+    def test_file_is_the_canonical_dump_of_the_state(self, tmp_path):
+        """The writer joins records encoded at ingest; the file must still
+        be exactly the canonical dump of ``state()``, across compactions
+        and after a restore."""
+
+        def canonical(advisor):
+            payload = {"schema": 1, "state": advisor.state()}
+            return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+        config = _config(window_events=12)  # compacts past 24 retained events
+        advisor = CacheAdvisor(config)
+        source = SyntheticSource("tip", 5, chunk=5, seed=13)
+        path = tmp_path / "ckpt.json"
+        for batch in source.batches(210):
+            advisor.ingest(batch)
+            write_checkpoint(path, advisor)
+            assert path.read_text(encoding="utf-8") == canonical(advisor)
+        assert advisor.interner.first_event > 900  # about 80 compactions
+        restored = restore_advisor(config, path)
+        assert canonical(restored) == canonical(advisor)
+        for batch in source.batches(5):
+            restored.ingest(batch)
+            write_checkpoint(path, restored)
+            assert path.read_text(encoding="utf-8") == canonical(restored)
+
+    @pytest.mark.parametrize(
+        "time", [0.1 + 0.2, 1e-7, 123456789.0, 3, True, float("nan"), float("inf")]
+    )
+    def test_record_json_is_the_encoder_s_output(self, time):
+        event = PartialStripeError(time=time, stripe=2**40, disk=3, start_row=1, length=2)
+        expected = json.dumps(records_for([event])[0], sort_keys=True,
+                              separators=(",", ":"))
+        assert record_json(event) == expected
 
     def test_missing_checkpoint_means_fresh_start(self, tmp_path):
         assert restore_advisor(_config(), tmp_path / "absent.json") is None

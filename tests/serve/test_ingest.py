@@ -65,6 +65,19 @@ class TestBoundedQueue:
         assert snap["counters"]["serve.ingest.shed"] == 2
         assert snap["counters"]["serve.ingest.records"] == 3
 
+    @pytest.mark.parametrize("time", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_time_counted_invalid(self, time):
+        registry = runtime.enable(fresh=True)
+
+        async def scenario():
+            queue = BoundedIngestQueue(limit=8)
+            line = '{"time": %s, "stripe": 1, "disk": 0, "start_row": 0, "length": 1}'
+            assert not queue.push_line(line % time)
+            assert (queue.invalid, queue.accepted, len(queue)) == (1, 0, 0)
+
+        asyncio.run(scenario())
+        assert registry.snapshot()["counters"]["serve.ingest.invalid"] == 1
+
     def test_invalid_lines_counted_not_queued(self):
         async def scenario():
             queue = BoundedIngestQueue(limit=8)

@@ -6,12 +6,22 @@ import asyncio
 import json
 import os
 import signal
+import threading
 
 import pytest
 
+from repro.engine import make_backend, simulate_grid_pass
+from repro.engine.stream import ReplayConfig
 from repro.obs import runtime
-from repro.serve import AdvisorServer, ServeConfig, SyntheticSource, record_lines
+from repro.serve import (
+    AdvisorServer,
+    ServeConfig,
+    SyntheticSource,
+    pick_winner,
+    record_lines,
+)
 from repro.serve.server import _read_line
+from repro.utils import parse_size
 
 
 def _config(**overrides) -> ServeConfig:
@@ -39,11 +49,47 @@ async def _query(port: int, request: dict) -> dict:
     return json.loads(line)
 
 
-async def _drain_until(server: AdvisorServer, total: int, timeout: float = 20.0):
+async def _until(predicate, what: str, timeout: float = 10.0) -> None:
     deadline = asyncio.get_running_loop().time() + timeout
-    while server.advisor.interner.events_seen < total:
-        assert asyncio.get_running_loop().time() < deadline, "ingest stalled"
-        await asyncio.sleep(0.02)
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, what
+        await asyncio.sleep(0.01)
+
+
+async def _drain_until(server: AdvisorServer, total: int, timeout: float = 20.0):
+    await _until(lambda: server.advisor.interner.events_seen >= total,
+                 "ingest stalled", timeout)
+
+
+async def _send(port: int, text: str) -> None:
+    _, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(text.encode())
+    await writer.drain()
+    writer.close()
+    await writer.wait_closed()
+
+
+class _Gate:
+    """Holds each evaluation of ``advisor`` until :attr:`release` is set.
+
+    The wait gives up after 20 s, so a gate that blocks the event loop
+    (an evaluation run on the loop) cannot hang the test.
+    """
+
+    def __init__(self, advisor):
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.rows: list = []
+        evaluate = advisor.evaluate
+
+        def gated(*args, **kwargs):
+            self.started.set()
+            self.release.wait(20)
+            rows = evaluate(*args, **kwargs)
+            self.rows.append(rows)
+            return rows
+
+        advisor.evaluate = gated
 
 
 class TestBackpressure:
@@ -115,6 +161,110 @@ class TestGracefulDrain:
             return rows
 
         assert asyncio.run(first_life()) == asyncio.run(second_life())
+
+
+class TestEvaluationThread:
+    """An advise replays its window off the loop; the loop keeps ingesting."""
+
+    def test_ingest_is_read_and_counted_while_an_evaluation_runs(self):
+        async def scenario():
+            server = AdvisorServer(_config(), metrics_port=None)
+            await server.start()
+            source = SyntheticSource("tip", 5, chunk=12)
+            await _send(server.port, record_lines(source.next_batch()))
+            await _drain_until(server, 12)
+            gate = _Gate(server.advisor)
+            advise = asyncio.ensure_future(_query(server.port, {"op": "advise"}))
+            await _until(gate.started.is_set, "no evaluation started")
+            await _send(server.port, record_lines(source.next_batch()))
+            await _drain_until(server, 24)
+            stats = (await _query(server.port, {"op": "stats"}))["stats"]
+            assert (stats["accepted"], stats["events_seen"]) == (24, 24)
+            assert not advise.done()  # the evaluation is still held
+            gate.release.set()
+            answer = await asyncio.wait_for(advise, 10)
+            assert answer["ok"]
+            # The reply describes the window it evaluated, not the log now.
+            assert (answer["advice"]["window_start"],
+                    answer["advice"]["window_events"]) == (0, 12)
+            server.request_shutdown()
+            await server.serve_forever()
+
+        asyncio.run(scenario())
+
+    def test_compaction_mid_evaluation_leaves_its_rows_exact(self):
+        config = _config()  # window 36, compacts past 72 retained events
+
+        async def scenario():
+            server = AdvisorServer(config, metrics_port=None)
+            await server.start()
+            source = SyntheticSource("tip", 5, chunk=12, seed=5)
+            events = []
+            for batch in source.batches(3):
+                events += batch
+                server.feed(batch)
+            await _drain_until(server, 36)
+            gate = _Gate(server.advisor)
+            advise = asyncio.ensure_future(_query(server.port, {"op": "advise"}))
+            await _until(gate.started.is_set, "no evaluation started")
+            for batch in source.batches(8):
+                events += batch
+                server.feed(batch)
+            await _drain_until(server, 132)
+            assert server.advisor.interner.first_event > 36  # compacted past it
+            assert not advise.done()
+            gate.release.set()
+            answer = await asyncio.wait_for(advise, 10)
+            server.request_shutdown()
+            await server.serve_forever()
+            return answer["advice"], gate.rows[0], events
+
+        advice, rows, events = asyncio.run(scenario())
+        start, n = advice["window_start"], advice["window_events"]
+        assert (start, n) == (0, 36)
+        block = parse_size(config.chunk_size)
+        grid = [
+            ReplayConfig(policy=policy, capacity_blocks=int(mb * 1024 * 1024) // block,
+                         workers=config.workers, hint=config.hint)
+            for policy in config.policies
+            for mb in config.cache_mbs
+        ]
+        backend = make_backend(config.code, config.p, scheme_mode=config.scheme_mode)
+        offline = simulate_grid_pass(backend, events[start:start + n], grid)
+        assert rows == offline
+        winner = pick_winner(offline)
+        assert (advice["policy"], advice["capacity_blocks"], advice["hit_ratio"]) == (
+            winner.policy, winner.capacity_blocks, winner.hit_ratio)
+
+    def test_sigterm_mid_evaluation_drains_and_joins_the_thread(self, tmp_path):
+        ckpt = tmp_path / "ckpt.json"
+
+        async def scenario():
+            server = AdvisorServer(
+                _config(checkpoint_path=str(ckpt), checkpoint_every=0),
+                metrics_port=None,
+            )
+            await server.start()
+            source = SyntheticSource("tip", 5, chunk=12)
+            server.feed(source.next_batch())
+            await _drain_until(server, 12)
+            gate = _Gate(server.advisor)
+            advise = asyncio.ensure_future(_query(server.port, {"op": "advise"}))
+            await _until(gate.started.is_set, "no evaluation started")
+            fed = 12 + sum(server.feed(batch) for batch in source.batches(3))
+            assert not advise.done()
+            os.kill(os.getpid(), signal.SIGTERM)
+            asyncio.get_running_loop().call_later(0.2, gate.release.set)
+            await server.serve_forever()
+            assert server.advisor.interner.events_seen == fed == 48
+            assert (await asyncio.wait_for(advise, 10))["ok"]
+
+        asyncio.run(scenario())
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("advisor-evaluate")]
+        state = json.loads(ckpt.read_text())["state"]
+        assert state["dropped"] + len(state["events"]) == 48
+        assert state["evaluations"] == 1
 
 
 class TestWire:

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -59,6 +62,21 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(["serve", "--engine-workers", "2"])
         assert info.value.code == 2
+
+
+class TestServe:
+    def test_stdin_eof_drains_and_exits_zero(self):
+        from repro.serve import SyntheticSource, record_lines
+
+        lines = record_lines(SyntheticSource("tip", 5, chunk=12).next_batch())
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--code", "tip", "--p", "5",
+             "--workers", "4", "--cache-mbs", "2,8", "--stdin", "--port", "0",
+             "--metrics-port", "0"],
+            input=lines, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "'events_seen': 12" in proc.stdout
 
 
 class TestInfo:
