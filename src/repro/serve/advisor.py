@@ -37,7 +37,6 @@ from ..obs import runtime as _obs
 from ..utils import parse_size
 from ..workloads import PartialStripeError
 from .config import Advice, ArraySpec, ServeConfig
-from .loadgen import record_json, records_for
 
 __all__ = ["CacheAdvisor", "Window", "pick_winner"]
 
@@ -105,11 +104,6 @@ class CacheAdvisor:
         self.batches = 0
         self.evaluations = 0
         self.out_of_order = 0
-        #: The checkpoint record of each retained event as JSON text
-        #: (:func:`~repro.serve.loadgen.record_json`), encoded once at
-        #: ingest: ``checkpoint_records[i]`` is log position
-        #: ``first_event + i``.
-        self.checkpoint_records: list[str] = []
         self._grids: dict[int, list[ReplayConfig]] = {}
         self._memo: tuple[Window, list[TraceSimResult]] | None = None
 
@@ -179,12 +173,10 @@ class CacheAdvisor:
             if _obs.ENABLED:
                 _obs.counter("serve.ingest.out_of_order").inc()
         n = self.interner.extend(batch)
-        self.checkpoint_records.extend(map(record_json, batch))
         self.batches += 1
         cap = self.config.compact_factor * self.config.window_events
         if self.interner.events_seen - self.interner.first_event > cap:
-            dropped = self.interner.compact(self.config.window_events)
-            del self.checkpoint_records[:dropped]
+            self.interner.compact(self.config.window_events)
         if _obs.ENABLED:
             start, stop = self.window_bounds()
             _obs.counter("serve.ingest.batches").inc()
@@ -302,8 +294,11 @@ class CacheAdvisor:
         """Replay state for checkpointing (events + counters + positions).
 
         ``events=False`` leaves out the event records, which the
-        checkpoint writer joins from :attr:`checkpoint_records` instead.
+        checkpoint writer (:class:`~repro.serve.checkpoint.CheckpointWriter`)
+        keeps encoded between writes.
         """
+        from .loadgen import records_for
+
         state = {
             "fingerprint": self.config.fingerprint(),
             "dropped": self.interner.first_event,
@@ -335,7 +330,6 @@ class CacheAdvisor:
         advisor = cls(config)
         events = [PartialStripeError(**r) for r in state.get("events", ())]
         advisor.interner.extend(events)
-        advisor.checkpoint_records = [record_json(e) for e in events]
         advisor.interner._dropped = int(state.get("dropped", 0))
         advisor.batches = int(state.get("batches", 0))
         advisor.evaluations = int(state.get("evaluations", 0))

@@ -9,10 +9,11 @@ the restored advisor's next evaluation is bit-identical to what the
 pre-crash process would have produced.
 
 The file is canonical JSON (sorted keys, no spaces), so identical state
-gives identical bytes.  The writer does not re-encode the retained log:
-the advisor encodes each event's record once at ingest
-(``CacheAdvisor.checkpoint_records``) and the writer joins those texts
-into the document.
+gives identical bytes.  Consecutive checkpoints often share much of
+their retained log, so a :class:`CheckpointWriter` keeps each retained event's
+record as JSON text between its writes and encodes only the events
+ingested since the last one; an advisor that never checkpoints encodes
+nothing.
 """
 
 from __future__ import annotations
@@ -20,15 +21,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from math import isfinite
 from pathlib import Path
 
 from ..obs import runtime as _obs
+from ..workloads import PartialStripeError
 from .advisor import CacheAdvisor
 from .config import ServeConfig
-from .loadgen import canonical_json
+from .loadgen import records_for
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
+    "CheckpointWriter",
     "write_checkpoint",
     "load_checkpoint",
     "restore_advisor",
@@ -38,42 +42,88 @@ __all__ = [
 CHECKPOINT_SCHEMA = 1
 
 
-def _checkpoint_text(advisor: CacheAdvisor) -> str:
-    """``canonical_json({"schema": CHECKPOINT_SCHEMA, "state":
-    advisor.state()})``, byte for byte, with the event list joined from
-    ``checkpoint_records``."""
-    state = advisor.state(events=False)
-    events = "[" + ",".join(advisor.checkpoint_records) + "]"
-    fields = ",".join(
-        f"{canonical_json(key)}:"
-        f"{events if key == 'events' else canonical_json(state[key])}"
-        for key in sorted([*state, "events"])
-    )
-    return f'{{"schema":{canonical_json(CHECKPOINT_SCHEMA)},"state":{{{fields}}}}}'
+#: The checkpoint's JSON encoding: sorted keys, no spaces.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_RECORD = '{"disk":%d,"length":%d,"start_row":%d,"stripe":%d,"time":%r}'
+
+
+def _encode_record(event: PartialStripeError) -> str:
+    """``_encode(records_for([event])[0])``, byte for byte.
+
+    Plain ints and a finite float time, which is what ``parse_record``
+    and the synthetic source produce, take a format string (``%r`` of a
+    float is the repr ``json`` writes) at about a third of the
+    encoder's cost; anything else takes the encoder.
+    """
+    t, s, d, r, n = event.time, event.stripe, event.disk, event.start_row, event.length
+    if type(t) is float and isfinite(t) and type(s) is type(d) is type(r) is type(n) is int:
+        return _RECORD % (d, n, r, s, t)
+    return _encode(records_for([event])[0])
+
+
+class CheckpointWriter:
+    """Writes ``advisor``'s checkpoints to ``path``.
+
+    Each file is exactly ``_encode({"schema": CHECKPOINT_SCHEMA,
+    "state": advisor.state()})``.  The writer keeps the encoded record of
+    every retained event by log position: a write drops the records that
+    compaction has passed and encodes only the events that arrived since
+    the previous write.
+    """
+
+    def __init__(self, path: str | Path, advisor: CacheAdvisor):
+        self.path = Path(path)
+        self.advisor = advisor
+        self._first = 0  #: log position of ``_records[0]``
+        self._records: list[str] = []
+
+    def _text(self) -> str:
+        interner = self.advisor.interner
+        first = interner.first_event
+        del self._records[: first - self._first]
+        self._first = first
+        fresh = interner.events_slice(first + len(self._records))
+        self._records.extend(map(_encode_record, fresh))
+        fields = {
+            key: _encode(value)
+            for key, value in self.advisor.state(events=False).items()
+        }
+        fields["events"] = "[" + ",".join(self._records) + "]"
+        state = ",".join(f"{_encode(key)}:{fields[key]}" for key in sorted(fields))
+        return f'{{"schema":{_encode(CHECKPOINT_SCHEMA)},"state":{{{state}}}}}'
+
+    def write(self) -> Path:
+        """Atomically persist the advisor's replay state; returns the path."""
+        path = self.path
+        text = self._text()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            prefix=path.name + ".", suffix=".tmp", dir=path.parent
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+        if _obs.ENABLED:
+            _obs.counter("serve.checkpoint.writes").inc()
+            _obs.gauge("serve.checkpoint.bytes").set(len(text))
+        return path
 
 
 def write_checkpoint(path: str | Path, advisor: CacheAdvisor) -> Path:
-    """Atomically persist the advisor's replay state; returns the path."""
-    path = Path(path)
-    text = _checkpoint_text(advisor)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    if _obs.ENABLED:
-        _obs.counter("serve.checkpoint.writes").inc()
-        _obs.gauge("serve.checkpoint.bytes").set(len(text))
-    return path
+    """Atomically persist the advisor's replay state; returns the path.
+
+    A one-shot writer: it encodes the whole retained log.  To checkpoint
+    the same advisor again and again, keep one :class:`CheckpointWriter`.
+    """
+    return CheckpointWriter(path, advisor).write()
 
 
 def load_checkpoint(path: str | Path) -> dict:

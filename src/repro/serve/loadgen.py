@@ -11,15 +11,13 @@ restarted generator reproduces it bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
-from math import isfinite
 from typing import Iterator, Sequence
 
 from ..codes.registry import make_code
 from ..workloads import ErrorTraceConfig, PartialStripeError, generate_errors
 
-__all__ = ["SyntheticSource", "records_for", "record_lines", "record_json"]
+__all__ = ["SyntheticSource", "records_for", "record_lines"]
 
 
 class SyntheticSource:
@@ -86,23 +84,6 @@ def records_for(events: Sequence[PartialStripeError]) -> list[dict]:
 
 def record_lines(events: Sequence[PartialStripeError]) -> str:
     """Events as JSON-lines text, ready to pipe into ``repro-fbf serve``."""
+    import json
+
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records_for(events))
-
-
-#: The checkpoint's JSON encoding: sorted keys, no spaces.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-_RECORD_JSON = '{"disk":%d,"length":%d,"start_row":%d,"stripe":%d,"time":%r}'
-
-
-def record_json(event: PartialStripeError) -> str:
-    """One event's record in the checkpoint's JSON: exactly
-    ``canonical_json(records_for([event])[0])``.
-
-    Plain ints and a finite float time take a format string (``%r`` of
-    a float is the repr ``json`` writes); anything else, the encoder.
-    """
-    t, s, d, r, n = event.time, event.stripe, event.disk, event.start_row, event.length
-    if type(t) is float and isfinite(t) and type(s) is type(d) is type(r) is type(n) is int:
-        return _RECORD_JSON % (d, n, r, s, t)
-    return canonical_json(records_for([event])[0])

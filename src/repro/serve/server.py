@@ -45,7 +45,7 @@ from ..obs import runtime as _obs
 from ..obs.export import prometheus_http_payload
 from ..workloads import PartialStripeError
 from .advisor import CacheAdvisor, Window
-from .checkpoint import restore_advisor, write_checkpoint
+from .checkpoint import CheckpointWriter, restore_advisor
 from .config import Advice, ArraySpec, ServeConfig
 from .ingest import BoundedIngestQueue
 
@@ -101,6 +101,11 @@ class AdvisorServer:
         )
         self.resumed = restored is not None
         self.advisor = restored or CacheAdvisor(config)
+        self._checkpoint = (
+            CheckpointWriter(config.checkpoint_path, self.advisor)
+            if config.checkpoint_path
+            else None
+        )
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self._tasks: list[asyncio.Task] = []
@@ -191,8 +196,8 @@ class AdvisorServer:
             )
         evaluator, self._evaluator = self._evaluator, None
         evaluator.shutdown(wait=True)
-        if self.config.checkpoint_path:
-            write_checkpoint(self.config.checkpoint_path, self.advisor)
+        if self._checkpoint is not None:
+            self._checkpoint.write()
         if _obs.ENABLED:
             _obs.gauge("serve.up").set(0)
 
@@ -221,11 +226,11 @@ class AdvisorServer:
             self.advisor.ingest(batch)
             self._batches_since_checkpoint += 1
             if (
-                config.checkpoint_path
+                self._checkpoint is not None
                 and config.checkpoint_every
                 and self._batches_since_checkpoint >= config.checkpoint_every
             ):
-                write_checkpoint(config.checkpoint_path, self.advisor)
+                self._checkpoint.write()
                 self._batches_since_checkpoint = 0
         self._drained.set()
 

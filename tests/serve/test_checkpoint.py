@@ -15,7 +15,8 @@ from repro.serve import (
     restore_advisor,
     write_checkpoint,
 )
-from repro.serve.loadgen import record_json
+from repro.serve import checkpoint
+from repro.serve.checkpoint import CheckpointWriter
 from repro.workloads import PartialStripeError
 
 
@@ -70,10 +71,12 @@ class TestRoundTrip:
         state = load_checkpoint(first)
         assert state["fingerprint"] == advisor.config.fingerprint()
 
-    def test_file_is_the_canonical_dump_of_the_state(self, tmp_path):
-        """The writer joins records encoded at ingest; the file must still
-        be exactly the canonical dump of ``state()``, across compactions
-        and after a restore."""
+    @pytest.mark.parametrize("every", [1, 7, 42])
+    def test_file_is_the_canonical_dump_of_the_state(self, tmp_path, every):
+        """The writer keeps encoded records between writes; every file must
+        still be exactly the canonical dump of ``state()``, whether
+        compaction cuts into the kept records (``every`` 1 and 7) or passes
+        all of them between two writes (42), and after a restore."""
 
         def canonical(advisor):
             payload = {"schema": 1, "state": advisor.state()}
@@ -82,27 +85,47 @@ class TestRoundTrip:
         config = _config(window_events=12)  # compacts past 24 retained events
         advisor = CacheAdvisor(config)
         source = SyntheticSource("tip", 5, chunk=5, seed=13)
-        path = tmp_path / "ckpt.json"
-        for batch in source.batches(210):
+        writer = CheckpointWriter(tmp_path / "ckpt.json", advisor)
+        for i, batch in enumerate(source.batches(210), 1):
             advisor.ingest(batch)
-            write_checkpoint(path, advisor)
-            assert path.read_text(encoding="utf-8") == canonical(advisor)
+            if i % every == 0:
+                text = writer.write().read_text(encoding="utf-8")
+                assert text == canonical(advisor)
         assert advisor.interner.first_event > 900  # about 80 compactions
-        restored = restore_advisor(config, path)
+        restored = restore_advisor(config, writer.path)
         assert canonical(restored) == canonical(advisor)
+        writer = CheckpointWriter(writer.path, restored)
         for batch in source.batches(5):
             restored.ingest(batch)
-            write_checkpoint(path, restored)
-            assert path.read_text(encoding="utf-8") == canonical(restored)
+            text = writer.write().read_text(encoding="utf-8")
+            assert text == canonical(restored)
+
+    def test_writer_encodes_each_event_once(self, tmp_path, monkeypatch):
+        encoded = []
+
+        def counting(event):
+            encoded.append(event)
+            return encode_record(event)
+
+        encode_record = checkpoint._encode_record
+        monkeypatch.setattr(checkpoint, "_encode_record", counting)
+        advisor = CacheAdvisor(_config(window_events=12))
+        writer = CheckpointWriter(tmp_path / "ckpt.json", advisor)
+        for batch in SyntheticSource("tip", 5, chunk=5, seed=13).batches(60):
+            advisor.ingest(batch)
+            assert not encoded or len(encoded) < advisor.interner.events_seen
+            writer.write()
+            assert len(encoded) == advisor.interner.events_seen
+        assert advisor.interner.first_event > 0
 
     @pytest.mark.parametrize(
         "time", [0.1 + 0.2, 1e-7, 123456789.0, 3, True, float("nan"), float("inf")]
     )
-    def test_record_json_is_the_encoder_s_output(self, time):
+    def test_record_encoding_is_the_encoder_s_output(self, time):
         event = PartialStripeError(time=time, stripe=2**40, disk=3, start_row=1, length=2)
         expected = json.dumps(records_for([event])[0], sort_keys=True,
                               separators=(",", ":"))
-        assert record_json(event) == expected
+        assert checkpoint._encode_record(event) == expected
 
     def test_missing_checkpoint_means_fresh_start(self, tmp_path):
         assert restore_advisor(_config(), tmp_path / "absent.json") is None
