@@ -84,12 +84,15 @@ def test_kernel_resource_contention(benchmark):
     assert benchmark(run) == 500.0
 
 
+def _cache_workload() -> list[int]:
+    return np.random.default_rng(0).integers(0, 400, 5000).tolist()
+
+
 @pytest.mark.benchmark(group="micro-cache")
 @pytest.mark.parametrize("policy", sorted(available_policies()))
 def test_policy_request_throughput(benchmark, policy):
     """5k requests over a 9-block working set against a 64-block cache."""
-    rng = np.random.default_rng(0)
-    keys = rng.integers(0, 400, 5000).tolist()
+    keys = _cache_workload()
 
     def run():
         cache = make_policy(policy, 64)
@@ -98,6 +101,26 @@ def test_policy_request_throughput(benchmark, policy):
         return cache.stats.requests
 
     assert benchmark(run) == 5000
+
+
+@pytest.mark.benchmark(group="micro-cache")
+@pytest.mark.parametrize("policy", sorted(available_policies()))
+def test_policy_request_many_throughput(benchmark, policy):
+    """The same 5k requests as one ``request_many`` batch, the path of the
+    grid pass and the fork-join replay; its hit flags count the
+    per-request path's hits."""
+    keys = _cache_workload()
+    priorities = [(k % 3) + 1 for k in keys]
+
+    def run():
+        return make_policy(policy, 64).request_many(keys, priorities)
+
+    flags = benchmark(run)
+    reference = make_policy(policy, 64)
+    for k, priority in zip(keys, priorities):
+        reference.request(k, priority=priority)
+    assert len(flags) == 5000
+    assert flags.count(1) == reference.stats.hits
 
 
 def _tracesim_workload():

@@ -116,7 +116,7 @@ class ARCCache(CachePolicy):
 
     def request_many(
         self, keys: Sequence[Key], priorities: Iterable[int] | None = None
-    ) -> None:
+    ) -> bytearray:
         # request()/_replace inlined with the four lists and ``p`` in
         # locals (grid replay hot path).  Same case order and the same
         # adaptation arithmetic as request(), so decisions match the
@@ -124,19 +124,22 @@ class ARCCache(CachePolicy):
         stats = self.stats
         if self.capacity == 0:
             stats.misses += len(keys)
-            return
+            return bytearray(len(keys))
         c = self.capacity
         t1, t2, b1, b2 = self._t1, self._t2, self._b1, self._b2
         p = self._p
+        flags = bytearray(len(keys))
         hits = misses = evictions = 0
         for key in keys:
             if key in t1:
                 del t1[key]
                 t2[key] = None
+                flags[hits + misses] = 1
                 hits += 1
                 continue
             if key in t2:
                 t2.move_to_end(key)
+                flags[hits + misses] = 1
                 hits += 1
                 continue
             if key in b1:
@@ -199,3 +202,4 @@ class ARCCache(CachePolicy):
         stats.hits += hits
         stats.misses += misses
         stats.evictions += evictions
+        return flags

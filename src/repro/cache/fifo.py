@@ -42,7 +42,7 @@ class FIFOCache(SimpleCachePolicy):
 
     def request_many(
         self, keys: Sequence[Key], priorities: Iterable[int] | None = None
-    ) -> None:
+    ) -> bytearray:
         # Grid replay hot path, via admission indices instead of the
         # OrderedDict: because hits never reorder a FIFO, the cache
         # content is always the ``capacity`` most recent admissions, so
@@ -54,17 +54,19 @@ class FIFOCache(SimpleCachePolicy):
         stats = self.stats
         if capacity == 0:
             stats.misses += len(keys)
-            return
+            return bytearray(len(keys))
         admitted: dict[Key, int] = {}
         for idx, key in enumerate(blocks):  # oldest first = admission order
             admitted[key] = idx
         total = len(admitted)
         floor = total - capacity
         get = admitted.get
+        flags = bytearray(len(keys))
         hits = misses = 0
         for key in keys:
             idx = get(key)
             if idx is not None and idx >= floor:
+                flags[hits + misses] = 1
                 hits += 1
             else:
                 misses += 1
@@ -80,3 +82,4 @@ class FIFOCache(SimpleCachePolicy):
         )
         for _, key in resident:
             blocks[key] = None
+        return flags

@@ -70,7 +70,7 @@ class LFUCache(SimpleCachePolicy):
 
     def request_many(
         self, keys: Sequence[Key], priorities: Iterable[int] | None = None
-    ) -> None:
+    ) -> bytearray:
         # request()/_on_hit/_admit/_evict inlined with the bucket maps in
         # locals (grid replay hot path); same frequency-bucket updates in
         # the same order, so decisions match the per-request path.
@@ -80,14 +80,16 @@ class LFUCache(SimpleCachePolicy):
         stats = self.stats
         if capacity == 0:
             stats.misses += len(keys)
-            return
+            return bytearray(len(keys))
         get_freq = freq_of.get
         get_bucket = buckets.get
         min_freq = self._min_freq  # mirrored in a local, written back below
+        flags = bytearray(len(keys))
         hits = misses = evictions = 0
         for key in keys:
             freq = get_freq(key)
             if freq is not None:
+                flags[hits + misses] = 1
                 hits += 1
                 bucket = buckets[freq]
                 del bucket[key]
@@ -120,3 +122,4 @@ class LFUCache(SimpleCachePolicy):
         stats.hits += hits
         stats.misses += misses
         stats.evictions += evictions
+        return flags

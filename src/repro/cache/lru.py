@@ -42,7 +42,7 @@ class LRUCache(SimpleCachePolicy):
 
     def request_many(
         self, keys: Sequence[Key], priorities: Iterable[int] | None = None
-    ) -> None:
+    ) -> bytearray:
         # The request() flow inlined with everything in locals (grid
         # replay hot path); priorities are ignored, as in _admit.
         blocks = self._blocks
@@ -50,12 +50,14 @@ class LRUCache(SimpleCachePolicy):
         stats = self.stats
         if capacity == 0:
             stats.misses += len(keys)
-            return
+            return bytearray(len(keys))
         move = blocks.move_to_end
         pop = blocks.popitem
+        flags = bytearray(len(keys))
         hits = misses = evictions = 0
         for key in keys:
             if key in blocks:
+                flags[hits + misses] = 1
                 hits += 1
                 move(key)
             else:
@@ -67,3 +69,4 @@ class LRUCache(SimpleCachePolicy):
         stats.hits += hits
         stats.misses += misses
         stats.evictions += evictions
+        return flags

@@ -52,8 +52,9 @@ class SimSanitizer(CachePolicy):
     :class:`InvariantViolation`; otherwise violations accumulate in
     :attr:`violations` for post-run inspection.
 
-    Inherits the base class's generic ``request_many`` loop, so batched
-    replays route every request through the checked path.
+    Inherits the base class's generic ``request_many``, which maps the
+    checked :meth:`request`, so a batched replay checks every request
+    and returns the wrapped policy's hit flags.
     """
 
     __slots__ = ("policy", "strict", "violations", "checks_run", "_is_fbf")

@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument(
         "--stdin", action="store_true",
-        help="also ingest JSON-lines records from stdin (EOF drains and exits)",
+        help="also ingest JSON-lines records from stdin, a pipe or a file "
+             "(EOF drains and exits)",
     )
     s.add_argument(
         "--synthetic", type=int, default=None, metavar="N",
@@ -558,6 +559,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .serve import AdvisorServer, ServeConfig, SyntheticSource
+    from .serve.server import StdinUnreadable
 
     kwargs: dict = dict(
         code=args.code,
@@ -624,7 +626,11 @@ def _run_serve(args: argparse.Namespace) -> int:
                 feeder.cancel()
         emit(f"drained; final stats: {server.stats()}")
 
-    asyncio.run(run())
+    try:
+        asyncio.run(run())
+    except StdinUnreadable as exc:
+        emit(f"serve --stdin: {exc}", stream=sys.stderr)
+        return 2
     return 0
 
 

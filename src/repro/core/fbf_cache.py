@@ -135,7 +135,7 @@ class FBFCache(CachePolicy):
 
     def request_many(
         self, keys: Sequence[Key], priorities: Iterable[int] | None = None
-    ) -> None:
+    ) -> bytearray:
         # request()/_attach/_detach/_evict inlined with the queue maps in
         # locals (grid replay hot path): same demote-on-hit, same
         # Queue1-first eviction scan, same priority normalization — the
@@ -149,12 +149,14 @@ class FBFCache(CachePolicy):
         # 1-based queue list: one dict hash per attach/demote/evict saved.
         qlist = [None] + [self._queues[i] for i in range(1, n_queues + 1)]
         scan = qlist[1:]
+        flags = bytearray(len(keys))
         hits = misses = evictions = 0
         if priorities is None:
             priorities = (None,) * len(keys)
         for key, priority in zip(keys, priorities):
             queue = get_queue(key)
             if queue is not None:
+                flags[hits + misses] = 1
                 hits += 1
                 if demote and queue > 1:
                     del qlist[queue][key]
@@ -185,3 +187,4 @@ class FBFCache(CachePolicy):
         stats.hits += hits
         stats.misses += misses
         stats.evictions += evictions
+        return flags

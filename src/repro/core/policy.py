@@ -72,22 +72,22 @@ class CachePolicy(ABC):
 
     def request_many(
         self, keys: Sequence[Key], priorities: Iterable[int] | None = None
-    ) -> None:
-        """Replay a batch of requests; only the stats are observable after.
+    ) -> bytearray:
+        """Replay a batch of requests; return their hit flags.
 
-        The grid replay's hot path.  This generic version just loops
+        ``flags[i]`` is 1 when ``keys[i]`` hit and 0 when it missed, and
+        ``stats`` and the residency end exactly where one :meth:`request`
+        per key, in order, would leave them
+        (``tests/cache/test_request_many.py`` pins the contract for every
+        registry policy).  The grid pass keeps only the stats; the
+        fork-join replay keeps the flags.  This generic version maps
         :meth:`request`; the policies on the paper's Figure 8 grid
         override it with the same per-request logic inlined into one
-        tight loop (decision-for-decision identical — the grid-pass
-        property tests enforce it against the per-request path).
+        tight loop that writes a flag on its hit branches only.
         """
-        request = self.request
         if priorities is None:
-            for key in keys:
-                request(key)
-        else:
-            for key, priority in zip(keys, priorities):
-                request(key, priority)
+            return bytearray(map(self.request, keys))
+        return bytearray(map(self.request, keys, priorities))
 
     @abstractmethod
     def __contains__(self, key: Key) -> bool: ...

@@ -188,7 +188,7 @@ class ForkJoinGroup:
                 # set never evicts, so a request hits iff it was seen before.
                 flags.append(self._reused[w])
             else:
-                flags.append(bytearray(map(policy.request, bids, hints)))
+                flags.append(policy.request_many(bids, hints))
         key = (
             b"".join(flags),
             config.hit_time,
@@ -196,6 +196,13 @@ class ForkJoinGroup:
             config.xor_time_per_chunk,
         )
         replayed = self._replays.get(key)
+        if _obs.ENABLED:
+            # A forced worker's flags are its "seen before" vector itself.
+            forced = sum(f is r for f, r in zip(flags, self._reused))
+            _obs.counter("engine.forkjoin.cells").inc()
+            _obs.counter("engine.forkjoin.replays").inc(1 if replayed is None else 0)
+            _obs.counter("engine.forkjoin.workers_stepped").inc(self.workers - forced)
+            _obs.counter("engine.forkjoin.workers_forced").inc(forced)
         if replayed is None:
             replayed = self._replays[key] = self._replay(
                 flags, config.hit_time, config.disk_latency, config.xor_time_per_chunk

@@ -7,7 +7,8 @@ One event loop owns everything but the window replays:
   query object (``{"op": "advise" | "stats" | "ping" | "shutdown"}``,
   answered with one JSON line);
 * an optional stdin reader accepting the same wire records, so
-  ``generator | repro-fbf serve --stdin`` works without a socket;
+  ``generator | repro-fbf serve --stdin`` (or ``serve --stdin <
+  records.jsonl``) works without a socket;
 * a batch loop draining the queue ``batch_events`` at a time into the
   :class:`~repro.serve.advisor.CacheAdvisor`, checkpointing every
   ``checkpoint_every`` batches;
@@ -32,9 +33,12 @@ dropped by shutdown — only queue overflow sheds, and that is counted.
 from __future__ import annotations
 
 import asyncio
+import fcntl
 import functools
 import json
+import os
 import signal
+import stat
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -49,9 +53,14 @@ from .checkpoint import CheckpointWriter, restore_advisor
 from .config import Advice, ArraySpec, ServeConfig
 from .ingest import BoundedIngestQueue
 
-__all__ = ["AdvisorServer"]
+__all__ = ["AdvisorServer", "StdinUnreadable"]
 
 _IDLE_TICK = 0.2  # seconds between shutdown checks while the queue is idle
+_FILE_CHUNK = 1 << 16  # bytes per read of a file stdin
+
+
+class StdinUnreadable(OSError):
+    """``read_stdin`` is set but the server cannot read stdin."""
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
@@ -75,6 +84,44 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
             skipping = True
             continue
         return None if skipping else line
+
+
+async def _open_stdin() -> tuple[asyncio.StreamReader, int | None]:
+    """A reader over stdin, plus stdin's descriptor when the caller must
+    feed the reader with :func:`_feed_file`.
+
+    A pipe, socket or terminal is attached to the loop.  The loop's
+    selector cannot watch a regular file (``serve --stdin <
+    records.jsonl``) or ``/dev/null``, so those are read instead.
+    Raises :class:`StdinUnreadable` when stdin is closed, has no
+    descriptor, or is not open for reading.
+    """
+    if sys.stdin is None:  # the process started with stdin closed
+        raise StdinUnreadable("stdin is closed")
+    try:
+        fd = sys.stdin.fileno()
+    except (OSError, ValueError) as exc:
+        raise StdinUnreadable(f"stdin has no file descriptor: {exc}") from None
+    if fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_WRONLY:
+        raise StdinUnreadable("stdin is not open for reading")
+    reader = asyncio.StreamReader()
+    mode = os.fstat(fd).st_mode
+    if not (stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode) or os.isatty(fd)):
+        return reader, fd
+    await asyncio.get_running_loop().connect_read_pipe(
+        lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
+    )
+    return reader, None
+
+
+async def _feed_file(reader: asyncio.StreamReader, fd: int) -> None:
+    """Feed the file open at ``fd`` to ``reader`` a chunk at a time, and
+    end it with EOF.  Each read runs in the loop's default executor, so
+    a slow disk stalls no task on the loop."""
+    loop = asyncio.get_running_loop()
+    while chunk := await loop.run_in_executor(None, os.read, fd, _FILE_CHUNK):
+        reader.feed_data(chunk)
+    reader.feed_eof()
 
 
 class AdvisorServer:
@@ -137,7 +184,11 @@ class AdvisorServer:
         return self._metrics_server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        """Bind listeners, install signal handlers, start the batch loop."""
+        """Open stdin if asked, bind listeners, install signal handlers,
+        start the batch loop.  Raises :class:`StdinUnreadable`, before
+        anything is bound, when ``read_stdin`` is set and stdin cannot
+        be read."""
+        stdin = await _open_stdin() if self.read_stdin else None
         if not _obs.enabled():
             _obs.enable()
         self._server = await asyncio.start_server(
@@ -154,8 +205,11 @@ class AdvisorServer:
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 break  # platform without unix signal support
         self._tasks.append(asyncio.ensure_future(self._batch_loop()))
-        if self.read_stdin:
-            self._tasks.append(asyncio.ensure_future(self._stdin_loop()))
+        if stdin is not None:
+            reader, file_fd = stdin
+            if file_fd is not None:
+                self._tasks.append(asyncio.ensure_future(_feed_file(reader, file_fd)))
+            self._tasks.append(asyncio.ensure_future(self._stdin_loop(reader)))
         if _obs.ENABLED:
             _obs.gauge("serve.up").set(1)
 
@@ -234,18 +288,14 @@ class AdvisorServer:
                 self._batches_since_checkpoint = 0
         self._drained.set()
 
-    async def _stdin_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader()
-        protocol = asyncio.StreamReaderProtocol(reader)
-        await loop.connect_read_pipe(lambda: protocol, sys.stdin)
+    async def _stdin_loop(self, reader: asyncio.StreamReader) -> None:
         while not self._stop.is_set():
             line = await _read_line(reader)
             if line is None:
                 self.queue.reject()
                 continue
             if not line:
-                self.request_shutdown()  # EOF on the pipe ends the stream
+                self.request_shutdown()  # EOF on stdin ends the stream
                 break
             if line.strip():
                 self.queue.push_line(line)

@@ -355,6 +355,21 @@ class TestDesObservability:
         assert fast + kernel == n_des
         assert (fast, kernel) == ((n_des, 0) if batch else (0, n_des))
 
+    def test_fork_join_layer_counts_its_cells_replays_and_workers(self):
+        # 64 MB holds every worker's working set: saturated cells force.
+        scale = replace(TINY, cache_mbs=(0.25, 64.0))
+        grid = [p for name in ("fig10", "fig11", "table4") for p in experiment_grid(name, scale)]
+        observed, counters = _observed(grid, SERIAL)
+        cells = counters["engine.forkjoin.cells"]
+        assert cells == counters["bench.des.fast_rows"] == len(grid)
+        # The flag memo: cells whose flags and timings agree share a replay.
+        assert 0 < counters["engine.forkjoin.replays"] <= cells
+        stepped = counters["engine.forkjoin.workers_stepped"]
+        forced = counters["engine.forkjoin.workers_forced"]
+        assert stepped > 0 and forced > 0
+        assert stepped + forced == sum(min(p.sor_workers, p.n_errors) for p in grid)
+        assert rows_equivalent(observed.points, run_grid(grid, SERIAL).points)
+
     @pytest.mark.parametrize(
         "change",
         [

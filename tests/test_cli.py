@@ -65,18 +65,47 @@ class TestParser:
 
 
 class TestServe:
+    _STDIN_SERVE = [sys.executable, "-m", "repro.cli", "serve", "--code", "tip", "--p", "5",
+                    "--workers", "4", "--cache-mbs", "2,8", "--stdin", "--port", "0",
+                    "--metrics-port", "0"]
+
     def test_stdin_eof_drains_and_exits_zero(self):
         from repro.serve import SyntheticSource, record_lines
 
         lines = record_lines(SyntheticSource("tip", 5, chunk=12).next_batch())
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "serve", "--code", "tip", "--p", "5",
-             "--workers", "4", "--cache-mbs", "2,8", "--stdin", "--port", "0",
-             "--metrics-port", "0"],
-            input=lines, capture_output=True, text=True, timeout=120,
+            self._STDIN_SERVE, input=lines, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert "'events_seen': 12" in proc.stdout
+
+    def test_stdin_from_a_file_drains_and_exits_zero(self, tmp_path):
+        # A regular file cannot join the event loop as a pipe does; it is
+        # read through the same line loop, and its EOF ends the stream.
+        from repro.serve import SyntheticSource, record_lines
+
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            record_lines(SyntheticSource("tip", 5, chunk=12).next_batch()) + "{bad\n"
+        )
+        with records.open("rb") as stdin:
+            proc = subprocess.run(
+                self._STDIN_SERVE, stdin=stdin, capture_output=True, text=True,
+                timeout=30,
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert "'accepted': 12" in proc.stdout
+        assert "'invalid': 1" in proc.stdout
+        assert "'events_seen': 12" in proc.stdout
+
+    def test_unreadable_stdin_exits_two(self, tmp_path):
+        with (tmp_path / "out").open("wb") as stdin:  # open for writing only
+            proc = subprocess.run(
+                self._STDIN_SERVE, stdin=stdin, capture_output=True, text=True,
+                timeout=30,
+            )
+        assert proc.returncode == 2
+        assert "stdin is not open for reading" in proc.stderr
 
 
 class TestInfo:
