@@ -3,8 +3,8 @@
 Unlike the experiment benches (one deterministic run, pedantic mode),
 these measure raw component throughput with pytest-benchmark's normal
 statistics: the event kernel, each replacement policy's request path, the
-recovery planner (the source of Table IV's overhead), the GF(2) solver,
-and the stripe encoder.
+stream decoder, the recovery planner (the source of Table IV's overhead),
+the GF(2) solver, and the stripe encoder.
 """
 
 import time
@@ -16,7 +16,7 @@ from repro.cache import available_policies, make_policy
 from repro.codes import Encoder, make_code
 from repro.codes.gf2 import gf2_solve_map
 from repro.core import PriorityDictionary, generate_plan
-from repro.engine import PlanCache, XORBackend, simulate_trace
+from repro.engine import PlanCache, XORBackend, intern_stream, make_backend, simulate_trace
 from repro.sim.kernel import Environment
 
 
@@ -211,6 +211,23 @@ def test_unified_replay_vs_legacy(benchmark):
         f"unified replay {unified_s * 1e3:.3f} ms vs legacy "
         f"{legacy_s * 1e3:.3f} ms (> 5% regression)"
     )
+
+
+@pytest.mark.benchmark(group="micro-tracesim")
+def test_intern_stream_throughput(benchmark):
+    """The one decoder every replay shares: ``intern_stream`` over one
+    FULL-scale Fig. 8 group (TIP p=13, 400 events) on a warm plan memo,
+    so the row times interning, not planning."""
+    from repro.bench import FULL
+
+    backend = make_backend("tip", 13)
+    events = backend.generate_events(FULL.n_errors, FULL.seed)
+    plans = PlanCache(backend)
+    requests = sum(plans.get(e).total_requests for e in events)
+
+    stream = benchmark(intern_stream, backend, events, plan_cache=plans)
+    assert stream.n_events == len(events) == 400
+    assert stream.total_requests == requests
 
 
 @pytest.mark.benchmark(group="micro-tracesim")

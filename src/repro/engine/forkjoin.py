@@ -175,20 +175,23 @@ class ForkJoinGroup:
             and config.policy.strip().lower() in SATURATION_SAFE_POLICIES
             and not config.policy_kwargs
         )
-        policies = [
-            make_policy(config.policy, capacity, **config.policy_kwargs)
-            for _ in range(self.workers)
-        ]
+        # Only stepped workers need a policy, but the first is built up
+        # front, so a bad kwarg raises the DES's error even in a cell
+        # whose workers are all forced.
+        policy = make_policy(config.policy, capacity, **config.policy_kwargs)
         flags = []
-        for w, (policy, (bids, hints)) in enumerate(zip(policies, self.substreams)):
+        for w, (bids, hints) in enumerate(self.substreams):
             distinct = self._distinct[w]
             if distinct == len(bids) or (saturates and distinct <= capacity):
                 # Forced outcome, as in the grid pass: a substream without
                 # reuse never hits, and a slice holding the whole working
                 # set never evicts, so a request hits iff it was seen before.
                 flags.append(self._reused[w])
-            else:
-                flags.append(policy.request_many(bids, hints))
+                continue
+            if policy is None:
+                policy = make_policy(config.policy, capacity, **config.policy_kwargs)
+            flags.append(policy.request_many(bids, hints))
+            policy = None
         key = (
             b"".join(flags),
             config.hit_time,

@@ -33,12 +33,9 @@ interleaved order.
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Any, Callable, Collection, Iterable, Sequence
 
 from ..cache.registry import make_policy
 from ..core.policy import CachePolicy
@@ -148,97 +145,6 @@ class InternedStream:
         return cached
 
 
-#: Per-(PlanCache, hint) interning state — unit registry plus per-plan
-#: (uids, hints) arrays — reused across intern calls so that re-interning
-#: the same backend's events (grid benches, repeated experiments) skips
-#: the per-pair python loop entirely.  Keyed weakly: state dies with its
-#: PlanCache (which keeps every plan alive, making ``id(plan)`` stable).
-_INTERN_STATE: "weakref.WeakKeyDictionary[PlanCache, dict]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _intern_numpy(
-    events_sorted: list, get_plan, sequence, state: tuple | None = None
-) -> tuple[tuple[Any, ...], array, array, array] | None:
-    """Vectorized interning: identical output to :meth:`StreamInterner.
-    extend`'s per-request loop, or None when the pair codes would
-    overflow int64 (the caller then takes that loop).
-
-    The python loop runs per *plan* (memoized unit/hint arrays; plans are
-    shared PlanCache objects), not per request; the per-request work —
-    ``(stripe, unit) -> dense first-seen id`` — becomes one
-    ``np.unique`` over 64-bit pair codes plus an argsort of the first
-    occurrence indices, which recovers exactly the first-seen order the
-    dict-based loop assigns.  Internal unit ids only disambiguate pair
-    codes — any injective assignment yields the same output — so the
-    registry may be shared across calls via ``state``.
-    """
-    if state is None:
-        state = ({}, [], {})
-    unit_ids, unit_list, plan_memo = state
-    uid_parts: list = []
-    hint_parts: list = []
-    stripes: list[int] = []
-    lens: list[int] = []
-    for event in events_sorted:
-        plan = get_plan(event)
-        memo = plan_memo.get(id(plan))
-        if memo is None:
-            pairs = list(sequence(plan))
-            uids = np.empty(len(pairs), dtype=np.int64)
-            hvals = np.empty(len(pairs), dtype=np.int32)
-            for j, (unit, hint_value) in enumerate(pairs):
-                uid = unit_ids.get(unit)
-                if uid is None:
-                    uid = unit_ids[unit] = len(unit_list)
-                    unit_list.append(unit)
-                uids[j] = uid
-                hvals[j] = hint_value
-            # the plan ref pins id(plan) for the memo's whole lifetime
-            memo = plan_memo[id(plan)] = (uids, hvals, plan)
-        uid_parts.append(memo[0])
-        hint_parts.append(memo[1])
-        stripes.append(event.stripe)
-        lens.append(len(memo[0]))
-
-    n_units = max(len(unit_list), 1)
-    if stripes and max(abs(s) for s in stripes) >= (1 << 62) // n_units:
-        return None
-    lens_np = np.asarray(lens, dtype=np.int64)
-    if uid_parts:
-        all_uids = np.concatenate(uid_parts)
-        all_hints = np.concatenate(hint_parts)
-    else:
-        all_uids = np.empty(0, dtype=np.int64)
-        all_hints = np.empty(0, dtype=np.int32)
-    codes = np.repeat(np.asarray(stripes, dtype=np.int64), lens_np) * n_units
-    codes += all_uids
-    uniq, first_idx, inverse = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    # uniq is sorted by code value; rank first occurrences by stream
-    # position to recover the dict loop's first-seen id assignment.
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq), dtype=np.int64)
-    bids_np = rank[inverse].astype(np.int32)
-    first_seen = uniq[order]
-    strp = (first_seen // n_units).tolist()
-    uidx = (first_seen % n_units).tolist()
-    keys = tuple((s, unit_list[i]) for s, i in zip(strp, uidx))
-    bids = array("i")
-    bids.frombytes(bids_np.tobytes())
-    hints = array("i")
-    hints.frombytes(all_hints.astype(np.int32, copy=False).tobytes())
-    offsets = array("i")
-    offsets.frombytes(
-        np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(lens_np)]
-        ).astype(np.int32).tobytes()
-    )
-    return keys, bids, hints, offsets
-
-
 def intern_stream(
     backend: CodeBackend,
     events: Sequence[Any],
@@ -248,18 +154,14 @@ def intern_stream(
     """Decode ``events`` once into an :class:`InternedStream`.
 
     Events are sorted exactly as :func:`~repro.engine.tracesim.
-    simulate_trace` sorts them, plans come from the shared ``plan_cache``
-    memo, and block keys are interned to dense ints in first-seen order
-    (deterministic: a function of the sorted event stream alone).  Stripe
-    numbers too large for the vectorized path's int64 pair codes take
-    :class:`StreamInterner`'s per-request loop, which yields the same
-    stream.
+    simulate_trace` sorts them and fed once through a fresh
+    :class:`StreamInterner`, the one decoder of every replay: plans come
+    from the shared ``plan_cache`` memo (one ``get`` per event), and
+    block keys are interned to dense ints in first-seen order
+    (deterministic: a function of the sorted event stream alone).
     """
-    model = make_priority_model(hint)
-    if plan_cache is None:
-        plan_cache = PlanCache(backend)
-    elif plan_cache.backend is not backend:
-        raise ValueError("plan_cache was built for a different backend")
+    interner = StreamInterner(backend, hint, plan_cache)
+    plan_cache = interner.plan_cache
 
     obs_on = _obs.ENABLED
     if obs_on:
@@ -269,18 +171,12 @@ def intern_stream(
         )
         decode_span.__enter__()
 
-    per_hint = _INTERN_STATE.setdefault(plan_cache, {})
-    state = per_hint.get(hint)
-    if state is None:
-        state = per_hint[hint] = ({}, [], {})
-    events = sorted(events)
-    interned = _intern_numpy(events, plan_cache.get, model.sequence, state)
-    if interned is None:
-        interner = StreamInterner(backend, hint, plan_cache)
-        interner.extend(events)
-        stream = interner.snapshot()
-    else:
-        stream = InternedStream(backend, hint, *interned)
+    interner.extend(sorted(events))
+    # The interner is dropped here, so the stream takes its arrays uncopied.
+    stream = InternedStream(
+        backend, hint, tuple(interner._index),
+        interner._bids, interner._hints, interner._offsets,
+    )
     if obs_on:
         decode_span["events"] = stream.n_events
         decode_span["blocks"] = stream.n_blocks
@@ -296,24 +192,25 @@ def intern_stream(
 
 
 class StreamInterner:
-    """Incremental interning over an advancing event log (the serve layer).
+    """Incremental interning over an advancing event log.
 
-    :func:`intern_stream` decodes a complete, already-known trace.  A
-    long-lived advisor instead sees events *arrive*: it appends each
-    batch as it lands and replays a sliding window of the most recent
-    events.  This class keeps the interning state (the block-key index,
-    the flat ``bids``/``hints``/``offsets`` arrays, the shared
-    :class:`~repro.engine.tracesim.PlanCache`) alive across appends, so
-    each batch costs one plan decode per *new* plan rather than a full
-    re-intern of the window.
+    The one decoder of every replay: :func:`intern_stream` feeds a
+    complete trace through :meth:`extend` once, and a long-lived advisor
+    (the serve layer) appends each batch as it lands and replays a
+    sliding window of the most recent events.  This class keeps the
+    interning state (the block-key index, the flat ``bids``/``hints``/
+    ``offsets`` arrays, the shared :class:`~repro.engine.tracesim.
+    PlanCache`) alive across appends, so each batch costs one plan
+    lookup per event rather than a full re-intern of the window.
 
     Equivalence contract: when events are appended in globally sorted
     order (the serve ingest path sorts each batch, and the synthetic /
     trace sources emit monotonically increasing times),
     ``interner.window(start, stop)`` is bit-for-bit identical to
     ``intern_stream(backend, events[start:stop])`` — same keys, same
-    dense ids, same hints — because dense ids are assigned in first-seen
-    order within the window either way (property-tested in
+    dense ids, same hints — because :meth:`window` rebases dense ids to
+    first-seen order within the window, the order a fresh :meth:`extend`
+    of the slice assigns (property-tested in
     ``tests/engine/test_stream_interner.py``).
 
     Memory is bounded by :meth:`compact`, which drops a consumed prefix
@@ -489,19 +386,46 @@ class ReplayConfig:
     sanitize: bool = False
 
 
-def _is_plain_lru(config: ReplayConfig) -> bool:
-    """Eligible for the stack-distance fast path: exactly registry LRU.
+def _is_plain(config: ReplayConfig, policies: Collection[str]) -> bool:
+    """A plain registry cell of one of ``policies``.
 
-    Anything that could perturb decisions or needs the stepped machinery
-    (a custom factory, constructor kwargs, the sanitizer wrapper) takes
-    the stepped path; FBF/ARC/LFU and friends lack LRU's inclusion
-    property and always step.
+    Every fast path (the stack-distance profile, the saturation shortcut,
+    the fleet) takes only these.  Anything that could perturb decisions
+    or needs the stepped machinery (a custom factory, constructor kwargs,
+    the sanitizer wrapper) steps.
     """
     return (
-        config.policy == "lru"
+        config.policy in policies
         and config.policy_factory is None
         and not config.policy_kwargs
         and not config.sanitize
+    )
+
+
+def _row(
+    stream: InternedStream,
+    config: ReplayConfig,
+    workers: int,
+    per_worker: int,
+    hits: int,
+    misses: int,
+    policy: str | None = None,
+) -> TraceSimResult:
+    """The grid pass's row for ``config`` over ``stream``, labelled
+    ``policy`` (default ``config.policy``)."""
+    backend = stream.backend
+    return TraceSimResult(
+        policy=config.policy if policy is None else policy,
+        scheme_mode=backend.scheme_label,
+        code=backend.code_label,
+        p=backend.p,
+        capacity_blocks=config.capacity_blocks,
+        workers=workers,
+        per_worker_blocks=per_worker,
+        n_errors=stream.n_events,
+        requests=hits + misses,
+        hits=hits,
+        disk_reads=misses,
     )
 
 
@@ -513,10 +437,10 @@ def _replay_stepped(
     """Step one configuration over the decoded stream (any policy).
 
     ``worker_distincts`` (per-worker working-set sizes, only passed for
-    :func:`_is_saturation_eligible` configs) lets individual workers skip
-    the replay when their outcome is forced: a worker whose slice covers
-    its whole working set never evicts, and one with zero reuse never
-    hits — both give exactly ``hits = requests - distinct``.
+    plain :data:`SATURATION_SAFE_POLICIES` configs) lets individual
+    workers skip the replay when their outcome is forced: a worker whose
+    slice covers its whole working set never evicts, and one with zero
+    reuse never hits — both give exactly ``hits = requests - distinct``.
     """
     workers, per_worker = effective_partition(
         config.capacity_blocks, config.workers, stream.n_events
@@ -560,23 +484,10 @@ def _replay_stepped(
         policies.append(factory(per_worker))
     hits += sum(p.stats.hits for p in policies)
     misses += sum(p.stats.misses for p in policies)
-    return TraceSimResult(
-        policy=(
-            config.policy
-            if config.policy_factory is None
-            else getattr(policies[0], "name", "custom")
-        ),
-        scheme_mode=stream.backend.scheme_label,
-        code=stream.backend.code_label,
-        p=stream.backend.p,
-        capacity_blocks=config.capacity_blocks,
-        workers=workers,
-        per_worker_blocks=per_worker,
-        n_errors=stream.n_events,
-        requests=hits + misses,
-        hits=hits,
-        disk_reads=misses,
-    )
+    label = None
+    if config.policy_factory is not None:
+        label = getattr(policies[0], "name", "custom")
+    return _row(stream, config, workers, per_worker, hits, misses, label)
 
 
 def _replay_lru_fast(
@@ -602,42 +513,8 @@ def _replay_lru_fast(
             for bids, _ in stream.worker_substreams(workers)
         ]
     hits = sum(p.hits_at(per_worker) for p in per_worker_profiles)
-    requests = stream.total_requests
-    return TraceSimResult(
-        policy="lru",
-        scheme_mode=stream.backend.scheme_label,
-        code=stream.backend.code_label,
-        p=stream.backend.p,
-        capacity_blocks=config.capacity_blocks,
-        workers=workers,
-        per_worker_blocks=per_worker,
-        n_errors=stream.n_events,
-        requests=requests,
-        hits=hits,
-        disk_reads=requests - hits,
-    )
-
-
-def _is_saturation_eligible(config: ReplayConfig) -> bool:
-    """Known admit-all/evict-only-full registry policy, unwrapped."""
-    return (
-        config.policy in SATURATION_SAFE_POLICIES
-        and config.policy_factory is None
-        and not config.policy_kwargs
-        and not config.sanitize
-    )
-
-
-def _is_vector_eligible(config: ReplayConfig) -> bool:
-    """Plain registry policy with a vector kernel, unwrapped."""
-    from .vector import VECTOR_POLICIES
-
-    return (
-        config.policy in VECTOR_POLICIES
-        and config.policy_factory is None
-        and not config.policy_kwargs
-        and not config.sanitize
-    )
+    misses = stream.total_requests - hits
+    return _row(stream, config, workers, per_worker, hits, misses)
 
 
 #: The fleet kernel that solves each vector policy.  LFU and FBF share
@@ -667,9 +544,11 @@ def _vector_cells(
     plain LRU joins only when ``lru_on_fleet`` (otherwise a reuse-distance
     profile owns it).
     """
+    from .vector import VECTOR_POLICIES
+
     cells: dict[int, tuple[str, int, int, str]] = {}
     for i, config in enumerate(configs):
-        if not _is_vector_eligible(config):
+        if not _is_plain(config, VECTOR_POLICIES):
             continue
         if config.policy == "lru" and not lru_on_fleet:
             continue
@@ -752,19 +631,8 @@ def _solve_cells(
     for i, (hint, workers, per_worker, policy) in cells.items():
         st = stream_for(hint)
         hits = solved[(hint, workers)][policy][per_worker]
-        requests = st.total_requests
-        rows[i] = TraceSimResult(
-            policy=policy,
-            scheme_mode=st.backend.scheme_label,
-            code=st.backend.code_label,
-            p=st.backend.p,
-            capacity_blocks=configs[i].capacity_blocks,
-            workers=workers,
-            per_worker_blocks=per_worker,
-            n_errors=st.n_events,
-            requests=requests,
-            hits=hits,
-            disk_reads=requests - hits,
+        rows[i] = _row(
+            st, configs[i], workers, per_worker, hits, st.total_requests - hits
         )
     return rows
 
@@ -893,7 +761,7 @@ def simulate_grid_pass(
                 n_vector += 1
             continue
         st = stream_for(config.hint)
-        if lru_fast_path and _is_plain_lru(config):
+        if lru_fast_path and _is_plain(config, ("lru",)):
             results.append(
                 _replay_lru_fast(st, config, lru_profiles, profile_factory)
             )
@@ -901,7 +769,7 @@ def simulate_grid_pass(
                 n_lru_fast += 1
             continue
         distincts = None
-        if lru_fast_path and _is_saturation_eligible(config):
+        if lru_fast_path and _is_plain(config, SATURATION_SAFE_POLICIES):
             workers, _ = effective_partition(
                 config.capacity_blocks, config.workers, st.n_events
             )

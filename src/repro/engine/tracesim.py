@@ -73,17 +73,14 @@ class PlanCache:
     that uses it — all cache sizes and policies of a sweep group (one
     bench-engine task), or every window of a live advisor — since plans
     are deterministic functions of the backend's
-    :meth:`~repro.engine.backend.CodeBackend.plan_key`.  ``max_entries``
-    bounds the memo (FIFO eviction of the oldest key) for long-lived
-    sharing; the distinct-key count is small (``O(disks x rows^2)`` for
-    the XOR codes), so the default is unbounded.
+    :meth:`~repro.engine.backend.CodeBackend.plan_key`.  The memo is
+    unbounded: the distinct-key count is small (``O(disks x rows^2)`` for
+    the XOR codes), and nothing is evicted, so a plan's ``id()`` stays
+    stable for the cache's life.
     """
 
-    def __init__(self, backend: CodeBackend, max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, backend: CodeBackend):
         self.backend = backend
-        self.max_entries = max_entries
         self._memo: dict[Hashable, EnginePlan] = {}
         self._hits = 0
         self._misses = 0
@@ -96,12 +93,7 @@ class PlanCache:
         plan = self._memo.get(key)
         if plan is None:
             self._misses += 1
-            plan = self.backend.build_plan(event)
-            if self.max_entries is not None and len(self._memo) >= self.max_entries:
-                # FIFO: drop the oldest key (dict preserves insertion
-                # order, so eviction is deterministic).
-                del self._memo[next(iter(self._memo))]
-            self._memo[key] = plan
+            plan = self._memo[key] = self.backend.build_plan(event)
         else:
             self._hits += 1
         return plan

@@ -370,6 +370,37 @@ class TestDesObservability:
         assert stepped + forced == sum(min(p.sor_workers, p.n_errors) for p in grid)
         assert rows_equivalent(observed.points, run_grid(grid, SERIAL).points)
 
+    def test_only_stepped_workers_build_a_policy(self, monkeypatch):
+        # A cell builds one policy per stepped worker, or one to check its
+        # kwargs when every worker is forced.
+        from repro import obs
+        from repro.engine import forkjoin
+
+        make_policy, run = forkjoin.make_policy, forkjoin.ForkJoinGroup.run
+        built = []
+        stepped_per_cell = []
+
+        def counting_make_policy(*args, **kwargs):
+            built.append(args[0])
+            return make_policy(*args, **kwargs)
+
+        def counting_run(group, config):
+            stepped = obs.counter("engine.forkjoin.workers_stepped")
+            before = stepped.value
+            report = run(group, config)
+            stepped_per_cell.append(stepped.value - before)
+            return report
+
+        monkeypatch.setattr(forkjoin, "make_policy", counting_make_policy)
+        monkeypatch.setattr(forkjoin.ForkJoinGroup, "run", counting_run)
+        # 64 MB holds every worker's working set: saturated cells force.
+        scale = replace(TINY, cache_mbs=(0.25, 64.0))
+        grid = experiment_grid("fig10", scale)
+        _, counters = _observed(grid, SERIAL)
+        assert len(stepped_per_cell) == counters["engine.forkjoin.cells"] == len(grid)
+        assert 0 in stepped_per_cell and max(stepped_per_cell) > 1
+        assert len(built) == sum(max(n, 1) for n in stepped_per_cell)
+
     @pytest.mark.parametrize(
         "change",
         [

@@ -147,19 +147,6 @@ class TestPlanCache:
         assert stats["misses"] == len(cache)
         assert stats["hits"] >= len(events)  # repeats + second pass
 
-    def test_max_entries_fifo_eviction(self, backend):
-        events = backend.generate_events(30, seed=1)
-        distinct = {backend.plan_key(e): e for e in events}
-        assert len(distinct) > 2
-        cache = PlanCache(backend, max_entries=2)
-        for event in distinct.values():
-            cache.get(event)
-        assert len(cache) == 2
-
-    def test_max_entries_validation(self, backend):
-        with pytest.raises(ValueError, match="max_entries"):
-            PlanCache(backend, max_entries=0)
-
     def test_backend_mismatch_rejected(self, backend):
         other = make_backend("tip", 5)
         events = backend.generate_events(5, seed=1)

@@ -110,6 +110,26 @@ def test_one_group_serves_every_cell_of_its_trace():
         group.run(replace(base, workers=4))
 
 
+def test_an_all_forced_cell_still_checks_its_kwargs():
+    """Only stepped workers get a policy, but a cell whose workers are all
+    forced still builds one, so an unknown kwarg raises the DES's error."""
+    backend = make_backend("star", 5)
+    events = backend.generate_events(4, 0)
+    config = SimConfig(
+        workers=4, cache_size="256KB", policy="lru",
+        policy_kwargs={"no_such_kwarg": 1},
+    )
+    group = ForkJoinGroup(backend, events, config)
+    # No substream reuses a block, so every worker's outcome is forced.
+    assert group._distinct == [len(bids) for bids, _ in group.substreams]
+    with pytest.raises(TypeError) as des:
+        run_timed_replay(backend, events, config)
+    with pytest.raises(TypeError) as fork_join:
+        group.run(config)
+    assert str(fork_join.value) == str(des.value)
+    assert "no_such_kwarg" in str(des.value)
+
+
 def test_table4_overhead_times_each_shape_once():
     backend = make_backend("tip", 7)
     events = backend.generate_events(40, 9)

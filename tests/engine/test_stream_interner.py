@@ -1,11 +1,14 @@
-"""StreamInterner's contract: windows equal fresh interning, bit for bit.
+"""The one decoder: ``intern_stream`` and ``StreamInterner``, bit for bit.
 
-The incremental interner exists so the serve layer can replay a sliding
-window without re-interning it; that is only sound if ``window(start,
-stop)`` is indistinguishable from ``intern_stream`` over the same slice
-— same keys, same dense ids, same hints, same offsets — regardless of
-how the events were batched on the way in, and regardless of whether
-:meth:`compact` has dropped a consumed prefix in between.
+``intern_stream`` is one :meth:`StreamInterner.extend` over the sorted
+trace, so the decode itself is pinned against a reference written
+straight from the plans.  The incremental interner exists so the serve
+layer can replay a sliding window without re-interning it; that is only
+sound if ``window(start, stop)`` is indistinguishable from
+``intern_stream`` over the same slice — same keys, same dense ids, same
+hints, same offsets — regardless of how the events were batched on the
+way in, and regardless of whether :meth:`compact` has dropped a consumed
+prefix in between.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import intern_stream, make_backend, simulate_trace
+from repro.engine import PlanCache, intern_stream, make_backend, simulate_trace
 from repro.engine.stream import ReplayConfig, StreamInterner, simulate_grid_pass
 
 
@@ -31,6 +34,60 @@ def _streams_equal(left, right) -> None:
     assert left.offsets == right.offsets
     assert left.hint == right.hint
     assert left.total_requests == right.total_requests
+
+
+def _decode_from_plans(backend, events, hint):
+    """The stream written straight from the plans: every step's reads in
+    issue order, each ``(stripe, unit)`` numbered when first seen, hinted
+    by its share count (capped at 3 for Table II's priority)."""
+    ids: dict = {}
+    bids, hints, offsets = [], [], [0]
+    for event in sorted(events):
+        plan = backend.build_plan(event)
+        shares: dict = {}
+        for step in plan.steps:
+            for unit in step.reads:
+                shares[unit] = shares.get(unit, 0) + 1
+        for step in plan.steps:
+            for unit in step.reads:
+                bids.append(ids.setdefault((event.stripe, unit), len(ids)))
+                share = shares[unit]
+                hints.append(min(share, 3) if hint == "priority" else share)
+        offsets.append(len(bids))
+    return tuple(ids), bids, hints, offsets
+
+
+class TestDecode:
+    @given(
+        spec=st.sampled_from(
+            (("tip", 5), ("star", 5), ("hdd1", 5), ("triple-star", 5),
+             ("lrc(12,2,2)", 0))
+        ),
+        hint=st.sampled_from(("priority", "share")),
+        n_events=st.integers(0, 60),
+        seed=st.integers(0, 2**16),
+        shift=st.integers(0, 1 << 62),
+    )
+    # Stripes as large as 2^62: keys hold Python ints, never fixed-width codes.
+    @example(spec=("tip", 5), hint="priority", n_events=30, seed=42, shift=1 << 62)
+    @settings(max_examples=40, deadline=None)
+    def test_intern_stream_equals_a_decode_from_the_plans(
+        self, spec, hint, n_events, seed, shift
+    ):
+        backend = make_backend(*spec)
+        events = [
+            replace(e, stripe=e.stripe + shift)
+            for e in backend.generate_events(max(n_events, 1), seed)[:n_events]
+        ]
+        plans = PlanCache(backend)
+        stream = intern_stream(backend, events, hint=hint, plan_cache=plans)
+        assert sum(plans.counts()) == n_events  # one get per event
+        keys, bids, hints, offsets = _decode_from_plans(backend, events, hint)
+        assert stream.keys == keys
+        assert list(stream.bids) == bids
+        assert list(stream.hints) == hints
+        assert list(stream.offsets) == offsets
+        assert stream.hint == hint and stream.n_events == n_events
 
 
 class TestWindowEquivalence:
@@ -135,28 +192,3 @@ class TestReplayThroughWindows:
                 capacity_blocks=config.capacity_blocks,
                 workers=config.workers,
             )
-
-
-class TestPairCodeOverflow:
-    def test_huge_stripes_intern_through_the_interner_loop(self, monkeypatch):
-        """Stripes too large for int64 pair codes take StreamInterner's
-        loop: the same stream, with every key's stripe shifted."""
-        backend = make_backend("tip", 5)
-        events = _events(30)
-        base = intern_stream(backend, events)
-        shift = 1 << 62  # >= (1 << 62) // n_units for any unit count
-        extended = []
-        extend = StreamInterner.extend
-        monkeypatch.setattr(
-            StreamInterner,
-            "extend",
-            lambda self, batch: extended.append(1) or extend(self, batch),
-        )
-        huge = intern_stream(
-            backend, [replace(e, stripe=e.stripe + shift) for e in events]
-        )
-        assert extended == [1]
-        assert huge.bids == base.bids
-        assert huge.hints == base.hints
-        assert huge.offsets == base.offsets
-        assert huge.keys == tuple((stripe + shift, unit) for stripe, unit in base.keys)

@@ -26,7 +26,7 @@ from repro.engine import (
 )
 from repro.engine.stream import (
     ReplayConfig,
-    _is_vector_eligible,
+    _is_plain,
     _replay_vector_rows,
     intern_stream,
 )
@@ -112,7 +112,7 @@ def test_numpy_rows_equal_python(spec, config_list, n_events, seed, fast_path):
     # only with fast_path off (on, the reuse-distance profile owns it).
     assert set(rows) == {
         i for i, c in enumerate(config_list)
-        if _is_vector_eligible(c) and c.capacity_blocks > 0
+        if _is_plain(c, VECTOR_POLICIES) and c.capacity_blocks > 0
         and not (fast_path and c.policy == "lru")
     }
     for i, row in rows.items():
@@ -163,20 +163,22 @@ def test_sampled_rate_one_equals_exact():
 class TestEligibility:
     def test_plain_policies_eligible(self):
         for policy in sorted(VECTOR_POLICIES):
-            assert _is_vector_eligible(ReplayConfig(policy=policy))
+            assert _is_plain(ReplayConfig(policy=policy), VECTOR_POLICIES)
 
     def test_sanitize_steps(self):
-        assert not _is_vector_eligible(ReplayConfig(policy="lru", sanitize=True))
+        assert not _is_plain(
+            ReplayConfig(policy="lru", sanitize=True), VECTOR_POLICIES
+        )
 
     def test_factory_steps(self):
         config = ReplayConfig(policy="lru", policy_factory=LRUCache)
-        assert not _is_vector_eligible(config)
+        assert not _is_plain(config, VECTOR_POLICIES)
 
     def test_kwargs_step(self):
         config = ReplayConfig(
             policy="fbf", policy_kwargs={"demote_on_hit": True}
         )
-        assert not _is_vector_eligible(config)
+        assert not _is_plain(config, VECTOR_POLICIES)
 
 
 class TestVectorRows:

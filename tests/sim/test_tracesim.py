@@ -21,8 +21,8 @@ def errors(tip7):
     return generate_errors(tip7, ErrorTraceConfig(n_errors=25, seed=4))
 
 
-def _plans(layout, scheme_mode="fbf", **kwargs):
-    return PlanCache(XORBackend(layout, scheme_mode), **kwargs)
+def _plans(layout, scheme_mode="fbf"):
+    return PlanCache(XORBackend(layout, scheme_mode))
 
 
 class TestPlanCache:
@@ -62,27 +62,6 @@ class TestPlanCache:
         stats = pc.stats()
         assert stats["misses"] == planned  # no new shapes on the re-run
         assert stats["hits"] >= planned
-
-    def test_max_entries_bounds_and_evicts_fifo(self, tip7, errors):
-        distinct = []
-        seen = set()
-        for e in errors:
-            if e.shape not in seen:
-                seen.add(e.shape)
-                distinct.append(e)
-        assert len(distinct) >= 3
-        pc = _plans(tip7, max_entries=2)
-        pc.get(distinct[0])
-        pc.get(distinct[1])
-        pc.get(distinct[2])  # evicts distinct[0] (oldest)
-        assert len(pc) == 2
-        pc.get(distinct[0])  # re-planned, not served from memo
-        assert pc.stats()["hits"] == 0
-        assert pc.stats()["misses"] == 4
-
-    def test_max_entries_validation(self, tip7):
-        with pytest.raises(ValueError, match="max_entries"):
-            _plans(tip7, max_entries=0)
 
 
 class TestSimulateCacheTrace:
