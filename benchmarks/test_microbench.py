@@ -3,8 +3,8 @@
 Unlike the experiment benches (one deterministic run, pedantic mode),
 these measure raw component throughput with pytest-benchmark's normal
 statistics: the event kernel, each replacement policy's request path, the
-stream decoder, the recovery planner (the source of Table IV's overhead),
-the GF(2) solver, and the stripe encoder.
+stream decoder, the advisor's ingest, the recovery planner (the source of
+Table IV's overhead), the GF(2) solver, and the stripe encoder.
 """
 
 import time
@@ -228,6 +228,31 @@ def test_intern_stream_throughput(benchmark):
     stream = benchmark(intern_stream, backend, events, plan_cache=plans)
     assert stream.n_events == len(events) == 400
     assert stream.total_requests == requests
+
+
+@pytest.mark.benchmark(group="micro-serve")
+def test_advisor_ingest_throughput(benchmark):
+    """``CacheAdvisor.ingest`` at the serve defaults (TIP p=7, 24-event
+    batches, a 192-event window): 400 synthetic batches into a fresh
+    advisor, compacting along the way.  Ingest only sorts, appends and
+    compacts, so the row is the serve loop's per-event advisor cost."""
+    from repro.serve import CacheAdvisor, ServeConfig, SyntheticSource
+
+    config = ServeConfig()
+    source = SyntheticSource(config.code, config.p, seed=7, chunk=config.batch_events)
+    batches = list(source.batches(400))
+
+    def fresh():
+        return (CacheAdvisor(config),), {}
+
+    def run(advisor):
+        for batch in batches:
+            advisor.ingest(batch)
+        return advisor
+
+    advisor = benchmark.pedantic(run, setup=fresh, rounds=20)
+    assert advisor.events_seen == 9600
+    assert advisor.first_event > 0  # compaction ran
 
 
 @pytest.mark.benchmark(group="micro-tracesim")

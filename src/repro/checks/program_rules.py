@@ -77,8 +77,8 @@ DEFAULT_LAYERS: Mapping[str, int] = {
     "analysis": 3,
     "obs": 3,
     "bench": 4,
-    # the advisor service composes the bench engine and the incremental
-    # interner, and is itself re-exported by the api facade
+    # the advisor service composes the bench engine's grid pass, and is
+    # itself re-exported by the api facade
     "serve": 5,
     "api": 5,
     "cli": 5,

@@ -1,22 +1,24 @@
 """The cache advisor: a sliding-window grid replay answering ``advise``.
 
-The advisor owns a :class:`~repro.engine.stream.StreamInterner` over the
-live event log and a candidate (policy x capacity) grid.  Each query
-replays the most recent ``window_events`` events through
-:func:`~repro.engine.stream.simulate_grid_pass` — the *same* function,
-on the same interned representation, that the offline bench engine uses
-— so an advisor recommendation is bit-for-bit the offline winner for
-that window: ``simulate_grid_pass(backend, window, configs)`` offline
-and :meth:`CacheAdvisor.evaluate` return identical rows, and
+The advisor keeps the live event log as a plain list, plus the count of
+events compaction has dropped, and a candidate (policy x capacity)
+grid.  Each query replays the most recent ``window_events`` events
+through :func:`~repro.engine.stream.simulate_grid_pass` — the call the
+offline bench engine makes, on the same events — so an advisor
+recommendation is bit-for-bit the offline winner for that window:
+``simulate_grid_pass(backend, window, configs)`` offline and
+:meth:`CacheAdvisor.evaluate` return identical rows, and
 :func:`pick_winner` is the single ranking both sides share.
 
-An evaluation replays a :class:`Window`, a copy of the window taken
-from the interner (:meth:`CacheAdvisor.snapshot`).  It reads nothing
-else the advisor mutates, so the server takes the snapshot on its event
-loop and replays it on a thread of its own while the loop keeps
-ingesting.  Evaluations are memoized per window, so a burst of
-``advise`` queries between ingest batches costs one replay: the whole
-candidate grid rides a single interned pass.
+Ingest only sorts, appends and compacts; it decodes nothing.  An
+evaluation replays a :class:`Window`, a copy of the window's events
+(:meth:`CacheAdvisor.snapshot`), and decodes them itself, through the
+advisor's :class:`~repro.engine.tracesim.PlanCache`, which nothing else
+touches.  So the server takes the snapshot on its event loop and
+replays it on a thread of its own while the loop keeps ingesting.
+Evaluations are memoized per window, so a burst of ``advise`` queries
+between ingest batches costs one replay: the whole candidate grid rides
+a single interned pass.
 """
 
 from __future__ import annotations
@@ -26,13 +28,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..engine.registry import make_backend
-from ..engine.stream import (
-    InternedStream,
-    ReplayConfig,
-    StreamInterner,
-    simulate_grid_pass,
-)
-from ..engine.tracesim import TraceSimResult
+from ..engine.stream import ReplayConfig, intern_stream, simulate_grid_pass
+from ..engine.tracesim import PlanCache, TraceSimResult
 from ..obs import runtime as _obs
 from ..utils import parse_size
 from ..workloads import PartialStripeError
@@ -64,17 +61,15 @@ def _confidence(fill: float, lead: float) -> float:
 class Window:
     """One evaluation's input: log positions ``[start, stop)`` at ``workers``.
 
-    ``events`` and ``stream`` are fresh copies out of the interner
-    (``events_slice`` and ``window``); later ``extend`` and ``compact``
-    calls never touch them, so the window can be replayed on another
-    thread while ingest goes on.
+    ``events`` is a fresh copy of the log's slice, in arrival order;
+    later ingest and compaction never touch it, so the window can be
+    replayed on another thread while ingest goes on.
     """
 
     start: int
     stop: int
     workers: int
     events: list[PartialStripeError]
-    stream: InternedStream
 
     @property
     def key(self) -> tuple[int, int, int]:
@@ -89,7 +84,11 @@ class CacheAdvisor:
         self.backend = make_backend(
             config.code, config.p, scheme_mode=config.scheme_mode
         )
-        self.interner = StreamInterner(self.backend, hint=config.hint)
+        # Events are partial-stripe errors, which only an XOR array code
+        # lays out; an LRC backend has no layout to check them against.
+        self.layout = getattr(self.backend, "layout", None)
+        if self.layout is None:
+            raise ValueError(f"the advisor serves XOR array codes, not {config.code}")
         self.block_size = parse_size(config.chunk_size)
         # Eager validation: every candidate capacity must give each SOR
         # worker at least one block, or evaluation would raise later.
@@ -104,6 +103,12 @@ class CacheAdvisor:
         self.batches = 0
         self.evaluations = 0
         self.out_of_order = 0
+        #: distinct blocks of the last evaluated window (0 before any)
+        self.n_blocks = 0
+        self._events: list[PartialStripeError] = []  #: the retained log
+        self._dropped = 0  #: events compaction removed from the log's head
+        #: plans for :meth:`evaluate`, and only for it
+        self._plans = PlanCache(self.backend)
         self._grids: dict[int, list[ReplayConfig]] = {}
         self._memo: tuple[Window, list[TraceSimResult]] | None = None
 
@@ -128,61 +133,83 @@ class CacheAdvisor:
             ]
         return cached
 
+    # -- the log ------------------------------------------------------------
+
+    @property
+    def events_seen(self) -> int:
+        """Total events ever ingested (a stable log length across compaction)."""
+        return self._dropped + len(self._events)
+
+    @property
+    def first_event(self) -> int:
+        """Log position of the oldest retained event."""
+        return self._dropped
+
+    def events_slice(
+        self, start: int, stop: int | None = None
+    ) -> list[PartialStripeError]:
+        """A copy of the retained events at log positions ``[start, stop)``."""
+        lo = start - self._dropped
+        if lo < 0:
+            raise ValueError(
+                f"event {start} was compacted away (oldest retained: "
+                f"{self._dropped})"
+            )
+        hi = None if stop is None else stop - self._dropped
+        return self._events[lo:hi]
+
     def window_bounds(self) -> tuple[int, int]:
         """Current evaluation window as ``[start, stop)`` log positions."""
-        stop = self.interner.events_seen
-        start = max(
-            self.interner.first_event, stop - self.config.window_events
-        )
+        stop = self.events_seen
+        start = max(self._dropped, stop - self.config.window_events)
         return start, stop
 
     def window_events(self) -> list[PartialStripeError]:
         """The events the next evaluation will replay (offline comparator)."""
-        start, stop = self.window_bounds()
-        return self.interner.events_slice(start, stop)
+        return self.events_slice(*self.window_bounds())
 
     def snapshot(self, workers: int | None = None) -> Window:
-        """The current window at ``workers``, copied out of the interner."""
+        """The current window at ``workers``, its events copied out of the log."""
         workers = self.config.workers if workers is None else workers
         start, stop = self.window_bounds()
-        return Window(
-            start,
-            stop,
-            workers,
-            self.interner.events_slice(start, stop),
-            self.interner.window(start, stop),
-        )
+        return Window(start, stop, workers, self.events_slice(start, stop))
 
     # -- ingest -------------------------------------------------------------
 
     def ingest(self, events: Sequence[PartialStripeError]) -> int:
-        """Append one batch (sorted); returns how many events landed.
+        """Append one batch, sorted; returns how many events landed.
 
-        Batches are sorted before interning; an event older than the
-        retained log's tail is counted (``out_of_order``) but still
-        accepted in arrival position — replay order is arrival order.
+        A batch older than the log's tail is counted (``out_of_order``)
+        but still appended in arrival position: window membership is
+        arrival order, and each evaluation replays its window's events
+        in time order, as the offline grid pass does.  Once the log holds
+        more than ``compact_factor`` windows, compaction drops all but
+        the last window.  Raises ``ValueError``, appending nothing, if an
+        event lies outside the served array's layout.
         """
         batch = sorted(events)
         if not batch:
             return 0
-        tail = self.interner.events_slice(
-            max(self.interner.events_seen - 1, self.interner.first_event)
-        )
-        if tail and batch[0] < tail[-1]:
+        layout = self.layout
+        for event in batch:
+            event.check_layout(layout)
+        log = self._events
+        if log and batch[0] < log[-1]:
             self.out_of_order += 1
             if _obs.ENABLED:
                 _obs.counter("serve.ingest.out_of_order").inc()
-        n = self.interner.extend(batch)
+        log += batch
         self.batches += 1
-        cap = self.config.compact_factor * self.config.window_events
-        if self.interner.events_seen - self.interner.first_event > cap:
-            self.interner.compact(self.config.window_events)
+        window = self.config.window_events
+        if len(log) > self.config.compact_factor * window:
+            excess = len(log) - window
+            del log[:excess]
+            self._dropped += excess
         if _obs.ENABLED:
             start, stop = self.window_bounds()
             _obs.counter("serve.ingest.batches").inc()
             _obs.gauge("serve.window.events").set(stop - start)
-            _obs.gauge("serve.window.blocks").set(self.interner.n_blocks)
-        return n
+        return len(batch)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -201,9 +228,11 @@ class CacheAdvisor:
         ``window`` defaults to a :meth:`snapshot` of the current window
         at ``workers``.  Returns one row per grid cell, bit-for-bit equal
         to the offline ``simulate_grid_pass(backend, window.events,
-        grid(window.workers))``.  It reads the window, the grid and the
-        backend, never the interner (whose arrays and ``PlanCache``
-        ``ingest`` mutates), so the server runs it on its evaluation
+        grid(window.workers))``: the window's events are decoded here, in
+        time order, exactly as that call decodes them.  It reads the
+        window, the grid and the backend, and writes only the advisor's
+        ``PlanCache``, the memo, ``n_blocks`` and the counters, never the
+        log ``ingest`` mutates, so the server runs it on its evaluation
         thread.  Memoized per window: log positions are stable, so a
         window's rows never go stale.
         """
@@ -214,15 +243,23 @@ class CacheAdvisor:
                 return memo[1]
             window = self.snapshot(workers)
         t0 = time.perf_counter()
+        # The grid pass would intern this same stream itself; interning it
+        # first only keeps its distinct-block count.
+        stream = intern_stream(
+            self.backend, window.events, self.config.hint, self._plans
+        )
         rows = simulate_grid_pass(
             self.backend,
             window.events,
             self.grid(window.workers),
-            stream=window.stream,
+            plan_cache=self._plans,
+            stream=stream,
         )
         self.evaluations += 1
+        self.n_blocks = stream.n_blocks
         self._memo = (window, rows)
         if _obs.ENABLED:
+            _obs.gauge("serve.window.blocks").set(stream.n_blocks)
             _obs.counter("serve.evaluate.count").inc()
             _obs.histogram("serve.evaluate.seconds").observe(
                 time.perf_counter() - t0
@@ -301,26 +338,24 @@ class CacheAdvisor:
 
         state = {
             "fingerprint": self.config.fingerprint(),
-            "dropped": self.interner.first_event,
+            "dropped": self._dropped,
             "batches": self.batches,
             "evaluations": self.evaluations,
             "out_of_order": self.out_of_order,
         }
         if events:
-            state["events"] = records_for(
-                self.interner.events_slice(self.interner.first_event)
-            )
+            state["events"] = records_for(self._events)
         return state
 
     @classmethod
     def from_state(cls, config: ServeConfig, state: dict) -> "CacheAdvisor":
         """Rebuild an advisor whose replay state matches the checkpoint.
 
-        Re-interning the retained events reproduces the interner arrays
-        bit for bit (interning is a pure function of the event sequence,
-        and ``compact`` leaves exactly the state a fresh interner fed the
-        suffix would hold), so a restored advisor's next evaluation
-        equals the pre-crash one.
+        The retained events and the dropped count are the whole replay
+        state (an evaluation decodes its window afresh), so a restored
+        advisor's next evaluation equals the pre-crash one.  Raises
+        ``ValueError`` for an event outside the served layout, as
+        :meth:`ingest` would.
         """
         if state.get("fingerprint") != config.fingerprint():
             raise ValueError(
@@ -329,8 +364,10 @@ class CacheAdvisor:
             )
         advisor = cls(config)
         events = [PartialStripeError(**r) for r in state.get("events", ())]
-        advisor.interner.extend(events)
-        advisor.interner._dropped = int(state.get("dropped", 0))
+        for event in events:
+            event.check_layout(advisor.layout)
+        advisor._events = events
+        advisor._dropped = int(state.get("dropped", 0))
         advisor.batches = int(state.get("batches", 0))
         advisor.evaluations = int(state.get("evaluations", 0))
         advisor.out_of_order = int(state.get("out_of_order", 0))

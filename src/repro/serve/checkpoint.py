@@ -3,10 +3,11 @@
 A checkpoint is the advisor's retained event log plus counters and the
 deployment fingerprint, written atomically (temp file + ``os.replace``
 in the same directory) so a crash mid-write leaves the previous
-checkpoint intact.  Restoring replays the retained events through a
-fresh interner — interning is a pure function of the event sequence, so
-the restored advisor's next evaluation is bit-identical to what the
-pre-crash process would have produced.
+checkpoint intact.  Restoring hands the retained events and the dropped
+count to a fresh advisor — those are its whole replay state, since each
+evaluation decodes its window afresh — so the restored advisor's next
+evaluation is bit-identical to what the pre-crash process would have
+produced.
 
 The file is canonical JSON (sorted keys, no spaces), so identical state
 gives identical bytes.  Consecutive checkpoints often share much of
@@ -79,11 +80,11 @@ class CheckpointWriter:
         self._records: list[str] = []
 
     def _text(self) -> str:
-        interner = self.advisor.interner
-        first = interner.first_event
+        advisor = self.advisor
+        first = advisor.first_event
         del self._records[: first - self._first]
         self._first = first
-        fresh = interner.events_slice(first + len(self._records))
+        fresh = advisor.events_slice(first + len(self._records))
         self._records.extend(map(_encode_record, fresh))
         fields = {
             key: _encode(value)

@@ -30,8 +30,9 @@ class ServeConfig:
     block counts).  The serving knobs bound every resource the always-on
     loop consumes: ``queue_limit`` caps the ingest queue (overflow is
     shed and counted, never buffered), ``window_events`` caps the replay
-    window, and ``compact_factor`` caps the interner's retained log at
-    ``compact_factor * window_events`` before it is rebased.
+    window, and ``compact_factor`` caps the advisor's retained log at
+    ``compact_factor * window_events`` before compaction drops all but
+    the last window.
     """
 
     # -- the served array ---------------------------------------------------

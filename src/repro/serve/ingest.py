@@ -16,6 +16,7 @@ import math
 from collections import deque
 from typing import Any
 
+from ..codes.layout import CodeLayout
 from ..obs import runtime as _obs
 from ..workloads import PartialStripeError
 
@@ -63,13 +64,16 @@ class BoundedIngestQueue:
     newest event is dropped (shed) once the queue is full, and both
     accepted and shed totals are tracked (``serve.ingest.records`` /
     ``serve.ingest.shed`` when obs is enabled).  ``wait_for_data``
-    parks the consumer until at least one event is queued.
+    parks the consumer until at least one event is queued.  Given a
+    ``layout``, :meth:`push_line` counts a record outside it as a bad
+    line, like any other malformed one.
     """
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, layout: CodeLayout | None = None):
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         self.limit = limit
+        self.layout = layout
         self._queue: deque[PartialStripeError] = deque()
         self.accepted = 0
         self.shed = 0
@@ -98,6 +102,8 @@ class BoundedIngestQueue:
         """Parse one wire record and enqueue it; invalid lines count."""
         try:
             event = parse_record(line)
+            if self.layout is not None:
+                event.check_layout(self.layout)
         except ValueError:
             self.reject()
             return False

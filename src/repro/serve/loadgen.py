@@ -3,8 +3,8 @@
 The generator replays the same field-calibrated partial-stripe-error
 model the offline experiments use (:func:`repro.workloads.generate_errors`)
 in *chunks*, re-stamping arrival times so the concatenated stream stays
-strictly time-monotone — the ordering contract the advisor's incremental
-interner relies on.  Chunk ``i`` draws from seed ``seed + i``, so any
+strictly time-monotone: arrival order is time order, and no batch is
+out of order.  Chunk ``i`` draws from seed ``seed + i``, so any
 prefix of the stream is a pure function of ``(layout, seed)`` and a
 restarted generator reproduces it bit for bit.
 """

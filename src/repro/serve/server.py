@@ -140,7 +140,6 @@ class AdvisorServer:
         self._want_port = port
         self._want_metrics_port = metrics_port
         self.read_stdin = read_stdin
-        self.queue = BoundedIngestQueue(config.queue_limit)
         restored = (
             restore_advisor(config, config.checkpoint_path)
             if config.checkpoint_path
@@ -148,6 +147,8 @@ class AdvisorServer:
         )
         self.resumed = restored is not None
         self.advisor = restored or CacheAdvisor(config)
+        # A wire record outside the served layout is a bad line.
+        self.queue = BoundedIngestQueue(config.queue_limit, self.advisor.layout)
         self._checkpoint = (
             CheckpointWriter(config.checkpoint_path, self.advisor)
             if config.checkpoint_path
@@ -259,7 +260,12 @@ class AdvisorServer:
 
     def feed(self, events: Sequence[PartialStripeError]) -> int:
         """Push events straight into the queue (loadgen path); returns
-        how many were accepted before overflow shed the rest."""
+        how many were accepted before overflow shed the rest.  Raises
+        ``ValueError``, queueing nothing, if an event lies outside the
+        served layout."""
+        layout = self.advisor.layout
+        for event in events:
+            event.check_layout(layout)
         accepted = 0
         for event in events:
             if self.queue.push(event):
@@ -414,9 +420,9 @@ class AdvisorServer:
             "batches": self.advisor.batches,
             "evaluations": self.advisor.evaluations,
             "out_of_order": self.advisor.out_of_order,
-            "events_seen": self.advisor.interner.events_seen,
+            "events_seen": self.advisor.events_seen,
             "window": [start, stop],
-            "n_blocks": self.advisor.interner.n_blocks,
+            "n_blocks": self.advisor.n_blocks,
             "resumed": self.resumed,
         }
 

@@ -90,10 +90,10 @@ async def _scrape(port: int) -> str:
 
 async def _await_ingested(server: AdvisorServer, total: int, timeout: float) -> None:
     deadline = asyncio.get_running_loop().time() + timeout
-    while server.advisor.interner.events_seen < total:
+    while server.advisor.events_seen < total:
         if asyncio.get_running_loop().time() > deadline:
             raise AssertionError(
-                f"ingest stalled: {server.advisor.interner.events_seen}"
+                f"ingest stalled: {server.advisor.events_seen}"
                 f"/{total} events after {timeout}s"
             )
         await asyncio.sleep(0.05)
@@ -153,7 +153,7 @@ async def _resumed(config: ServeConfig, advice: dict, rows: list) -> dict:
         await server.serve_forever()
     if failures:
         raise AssertionError("; ".join(failures))
-    return {"events_seen": server.advisor.interner.events_seen}
+    return {"events_seen": server.advisor.events_seen}
 
 
 async def _live(config: ServeConfig, n_batches: int, timeout: float) -> dict:

@@ -55,8 +55,9 @@ class PartialStripeError:
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
 
-    def cells(self, layout: CodeLayout) -> tuple[Cell, ...]:
-        """The failed cells within the stripe, top to bottom."""
+    def check_layout(self, layout: CodeLayout) -> None:
+        """Raise ``ValueError`` unless the error lies inside ``layout``:
+        its disk below ``num_disks`` and its rows within ``rows``."""
         if self.disk >= layout.num_disks:
             raise ValueError(
                 f"error on disk {self.disk} but {layout.name} has "
@@ -67,6 +68,10 @@ class PartialStripeError:
                 f"error rows [{self.start_row}, {self.start_row + self.length}) "
                 f"exceed {layout.rows} rows"
             )
+
+    def cells(self, layout: CodeLayout) -> tuple[Cell, ...]:
+        """The failed cells within the stripe, top to bottom."""
+        self.check_layout(layout)
         return tuple(
             (r, self.disk) for r in range(self.start_row, self.start_row + self.length)
         )

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.engine import make_backend, simulate_grid_pass
+from repro.engine import PlanCache, XORBackend, make_backend, simulate_grid_pass
 from repro.engine.stream import ReplayConfig
 from repro.serve import ArraySpec, CacheAdvisor, ServeConfig, SyntheticSource, pick_winner
 from repro.utils import parse_size
@@ -71,8 +73,21 @@ class TestAdviseMatchesOffline:
         source = SyntheticSource("tip", 5, chunk=12, seed=3)
         for batch in source.batches(10):
             advisor.ingest(batch)
-        assert advisor.interner.first_event > 0  # compaction really ran
+        assert advisor.first_event > 0  # compaction really ran
         assert advisor.evaluate() == _offline_rows(advisor)
+
+    def test_out_of_order_windows_replay_in_time_order(self):
+        """Window membership is arrival order, but every window replays in
+        time order, as the offline call does, whatever order batches
+        arrive in."""
+        for seed in range(20):
+            advisor = CacheAdvisor(_config())
+            batches = list(SyntheticSource("tip", 5, chunk=12, seed=seed).batches(4))
+            for i in (1, 0, 3, 2):
+                advisor.ingest(batches[i])
+            assert advisor.out_of_order == 2
+            assert advisor.window_events() == batches[1] + batches[0] + batches[3] + batches[2]
+            assert advisor.evaluate() == _offline_rows(advisor), f"seed {seed}"
 
     def test_evaluation_memoized_until_window_moves(self):
         advisor = CacheAdvisor(_config())
@@ -84,6 +99,43 @@ class TestAdviseMatchesOffline:
         advisor.ingest(source.next_batch())
         assert advisor.evaluate() is not first
         assert advisor.evaluations == 2
+
+
+class TestState:
+    def test_ingest_makes_no_plan_lookup(self, monkeypatch):
+        calls = {"get": 0, "build_plan": 0}
+
+        def counting(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(PlanCache, "get")
+        counting(XORBackend, "build_plan")
+        advisor = CacheAdvisor(_config())
+        for batch in SyntheticSource("tip", 5, chunk=12, seed=4).batches(20):
+            advisor.ingest(batch)
+        assert advisor.events_seen == 240
+        assert advisor.first_event > 0  # compaction ran
+        assert calls == {"get": 0, "build_plan": 0}
+        advisor.evaluate()
+        assert calls["get"] == len(advisor.window_events())
+        assert calls["build_plan"] > 0
+
+    def test_out_of_layout_batch_is_refused_whole(self):
+        advisor = CacheAdvisor(_config())  # TIP p=5: 6 disks, 4 rows
+        source = SyntheticSource("tip", 5, chunk=12)
+        advisor.ingest(source.next_batch())
+        good = source.next_batch()
+        for bad in (replace(good[0], disk=99), replace(good[0], start_row=2, length=3)):
+            with pytest.raises(ValueError, match="disk 99|exceed 4 rows"):
+                advisor.ingest(good[1:] + [bad])
+            assert (advisor.events_seen, advisor.batches) == (12, 1)
+        assert advisor.evaluate() == _offline_rows(advisor)
 
 
 class TestPickWinner:
@@ -113,6 +165,10 @@ class TestGuards:
         with pytest.raises(ValueError, match="advisor serves"):
             advisor.advise(ArraySpec(code="star", p=5))
 
+    def test_non_xor_code_rejected_eagerly(self):
+        with pytest.raises(ValueError, match="XOR array codes"):
+            CacheAdvisor(_config(code="lrc(12,2,2)", p=0))
+
     def test_undersized_capacity_rejected_eagerly(self):
         # 2 MB / 32KB = 64 blocks < 128 workers: every worker needs a slice.
         with pytest.raises(ValueError, match="fewer than"):
@@ -126,4 +182,4 @@ class TestGuards:
         advisor.ingest(second)
         advisor.ingest(first)  # older than the retained tail
         assert advisor.out_of_order == 1
-        assert advisor.interner.events_seen == 24
+        assert advisor.events_seen == 24

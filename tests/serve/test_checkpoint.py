@@ -46,22 +46,19 @@ def _fed_advisor(n_batches: int = 7) -> CacheAdvisor:
 class TestRoundTrip:
     def test_resume_is_bit_identical(self, tmp_path):
         advisor = _fed_advisor()
-        assert advisor.interner.first_event > 0  # checkpoint a compacted log
+        assert advisor.first_event > 0  # checkpoint a compacted log
         path = write_checkpoint(tmp_path / "ckpt.json", advisor)
         restored = restore_advisor(_config(), path)
         assert restored is not None
-        # Identical replay state: same log positions, same interner
-        # arrays, and therefore the same evaluation rows.
-        assert restored.interner.events_seen == advisor.interner.events_seen
-        assert restored.interner.first_event == advisor.interner.first_event
-        original = advisor.interner.snapshot()
-        resumed = restored.interner.snapshot()
-        assert resumed.keys == original.keys
-        assert resumed.bids == original.bids
-        assert resumed.hints == original.hints
-        assert resumed.offsets == original.offsets
-        assert restored.evaluate() == advisor.evaluate()
+        # Identical replay state: the same retained log at the same log
+        # positions, and therefore the same evaluation rows.
+        assert restored.events_slice(restored.first_event) == advisor.events_slice(
+            advisor.first_event
+        )
+        assert restored.first_event == advisor.first_event
+        assert restored.events_seen == advisor.events_seen
         assert restored.batches == advisor.batches
+        assert restored.evaluate() == advisor.evaluate()
 
     def test_checkpoint_file_is_stable_json(self, tmp_path):
         advisor = _fed_advisor(3)
@@ -91,7 +88,7 @@ class TestRoundTrip:
             if i % every == 0:
                 text = writer.write().read_text(encoding="utf-8")
                 assert text == canonical(advisor)
-        assert advisor.interner.first_event > 900  # about 80 compactions
+        assert advisor.first_event > 900  # about 80 compactions
         restored = restore_advisor(config, writer.path)
         assert canonical(restored) == canonical(advisor)
         writer = CheckpointWriter(writer.path, restored)
@@ -113,10 +110,10 @@ class TestRoundTrip:
         writer = CheckpointWriter(tmp_path / "ckpt.json", advisor)
         for batch in SyntheticSource("tip", 5, chunk=5, seed=13).batches(60):
             advisor.ingest(batch)
-            assert not encoded or len(encoded) < advisor.interner.events_seen
+            assert not encoded or len(encoded) < advisor.events_seen
             writer.write()
-            assert len(encoded) == advisor.interner.events_seen
-        assert advisor.interner.first_event > 0
+            assert len(encoded) == advisor.events_seen
+        assert advisor.first_event > 0
 
     @pytest.mark.parametrize(
         "time", [0.1 + 0.2, 1e-7, 123456789.0, 3, True, float("nan"), float("inf")]

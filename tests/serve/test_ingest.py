@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.codes import make_code
 from repro.obs import runtime
 from repro.serve import BoundedIngestQueue, parse_record
 from repro.workloads import PartialStripeError
@@ -77,6 +78,20 @@ class TestBoundedQueue:
 
         asyncio.run(scenario())
         assert registry.snapshot()["counters"]["serve.ingest.invalid"] == 1
+
+    @pytest.mark.parametrize("fields", [{"disk": 6}, {"start_row": 3, "length": 2}])
+    def test_out_of_layout_line_counted_invalid_given_the_layout(self, fields):
+        async def scenario():
+            edge = {"time": 1.0, "stripe": 0, "disk": 5, "start_row": 3, "length": 1}
+            line = json.dumps({**edge, **fields})
+            loose = BoundedIngestQueue(limit=8)
+            assert loose.push_line(line)
+            queue = BoundedIngestQueue(limit=8, layout=make_code("tip", 5))  # 6 disks, 4 rows
+            assert queue.push_line(json.dumps(edge))  # the layout's last cell
+            assert not queue.push_line(line)
+            assert (queue.invalid, queue.accepted, len(queue)) == (1, 1, 1)
+
+        asyncio.run(scenario())
 
     def test_invalid_lines_counted_not_queued(self):
         async def scenario():

@@ -7,10 +7,11 @@ import json
 import os
 import signal
 import threading
+from dataclasses import replace
 
 import pytest
 
-from repro.engine import make_backend, simulate_grid_pass
+from repro.engine import intern_stream, make_backend, simulate_grid_pass
 from repro.engine.stream import ReplayConfig
 from repro.obs import runtime
 from repro.serve import (
@@ -57,7 +58,7 @@ async def _until(predicate, what: str, timeout: float = 10.0) -> None:
 
 
 async def _drain_until(server: AdvisorServer, total: int, timeout: float = 20.0):
-    await _until(lambda: server.advisor.interner.events_seen >= total,
+    await _until(lambda: server.advisor.events_seen >= total,
                  "ingest stalled", timeout)
 
 
@@ -108,7 +109,7 @@ class TestBackpressure:
             server.request_shutdown()
             await server.serve_forever()
             # everything *accepted* still landed — only overflow shed
-            assert server.advisor.interner.events_seen == 24
+            assert server.advisor.events_seen == 24
 
         runtime.enable(fresh=True)
         asyncio.run(scenario())
@@ -131,7 +132,7 @@ class TestGracefulDrain:
             # drain must flush every accepted batch before returning.
             os.kill(os.getpid(), signal.SIGTERM)
             await server.serve_forever()
-            assert server.advisor.interner.events_seen == 48
+            assert server.advisor.events_seen == 48
             assert len(server.queue) == 0
 
         asyncio.run(scenario())
@@ -211,7 +212,7 @@ class TestEvaluationThread:
                 events += batch
                 server.feed(batch)
             await _drain_until(server, 132)
-            assert server.advisor.interner.first_event > 36  # compacted past it
+            assert server.advisor.first_event > 36  # compacted past it
             assert not advise.done()
             gate.release.set()
             answer = await asyncio.wait_for(advise, 10)
@@ -256,7 +257,7 @@ class TestEvaluationThread:
             os.kill(os.getpid(), signal.SIGTERM)
             asyncio.get_running_loop().call_later(0.2, gate.release.set)
             await server.serve_forever()
-            assert server.advisor.interner.events_seen == fed == 48
+            assert server.advisor.events_seen == fed == 48
             assert (await asyncio.wait_for(advise, 10))["ok"]
 
         asyncio.run(scenario())
@@ -340,8 +341,14 @@ class TestWire:
             (b'{"op": ' + b"[" * 5000 + b"}", False, 1),
             (b'{"time": 0, "stripe": 1e400, "disk": 0, "start_row": 0, "length": 1}',
              False, 1),
+            # TIP p=5 has 6 disks and 4 rows
+            (b'{"time": 0.5, "stripe": 5, "disk": 99, "start_row": 0, "length": 1}',
+             False, 1),
+            (b'{"time": 0.5, "stripe": 5, "disk": 0, "start_row": 2, "length": 3}',
+             False, 1),
         ],
-        ids=["over-64KiB", "over-256KiB", "null-field", "non-utf8", "too-deep", "inf-int"],
+        ids=["over-64KiB", "over-256KiB", "null-field", "non-utf8", "too-deep", "inf-int",
+             "disk-out-of-layout", "rows-out-of-layout"],
     )
     def test_bad_line_fails_closed_and_connection_survives(
         self, bad_line, refused, invalid
@@ -362,7 +369,65 @@ class TestWire:
             assert server.stats()["invalid"] == invalid
             assert server.stats()["accepted"] == 0
             server.request_shutdown()
-            await server.serve_forever()
+            await asyncio.wait_for(server.serve_forever(), 10)
+
+        asyncio.run(scenario())
+
+    def test_out_of_layout_record_leaves_ingest_running(self):
+        """A record outside the served layout is one bad line; the good
+        records after it land, advise answers and the drain completes."""
+
+        async def scenario():
+            server = AdvisorServer(_config(), metrics_port=None)
+            await server.start()
+            bad = '{"time": 0.5, "stripe": 5, "disk": 99, "start_row": 0, "length": 1}\n'
+            good = SyntheticSource("tip", 5, chunk=12).next_batch()
+            await _send(server.port, bad + record_lines(good))
+            await _drain_until(server, len(good))
+            stats = (await _query(server.port, {"op": "stats"}))["stats"]
+            assert (stats["accepted"], stats["invalid"]) == (len(good), 1)
+            assert stats["events_seen"] == len(good)
+            assert (await _query(server.port, {"op": "advise"}))["ok"]
+            server.request_shutdown()
+            await asyncio.wait_for(server.serve_forever(), 10)
+            assert server.advisor.events_seen == len(good)
+
+        asyncio.run(scenario())
+
+    def test_feeding_an_out_of_layout_event_queues_nothing(self):
+        async def scenario():
+            server = AdvisorServer(_config(), metrics_port=None)
+            await server.start()
+            events = SyntheticSource("tip", 5, chunk=12).next_batch()
+            with pytest.raises(ValueError, match="disk 99"):
+                server.feed(events + [replace(events[0], disk=99)])
+            assert (len(server.queue), server.queue.accepted) == (0, 0)
+            server.request_shutdown()
+            await asyncio.wait_for(server.serve_forever(), 10)
+
+        asyncio.run(scenario())
+
+    def test_stats_n_blocks_is_the_evaluated_window_s(self):
+        async def scenario():
+            server = AdvisorServer(_config(), metrics_port=None)
+            await server.start()
+            source = SyntheticSource("tip", 5, chunk=12)
+            server.feed(source.next_batch())
+            await _drain_until(server, 12)
+            assert (await _query(server.port, {"op": "stats"}))["stats"]["n_blocks"] == 0
+            assert (await _query(server.port, {"op": "advise"}))["ok"]
+            stats = (await _query(server.port, {"op": "stats"}))["stats"]
+            blocks = intern_stream(
+                server.advisor.backend, server.advisor.window_events()
+            ).n_blocks
+            assert stats["n_blocks"] == blocks > 0
+            gauges = runtime.registry().snapshot()["gauges"]
+            assert gauges["serve.window.blocks"] == blocks
+            server.feed(source.next_batch())  # ingest leaves it to evaluate
+            await _drain_until(server, 24)
+            assert (await _query(server.port, {"op": "stats"}))["stats"]["n_blocks"] == blocks
+            server.request_shutdown()
+            await asyncio.wait_for(server.serve_forever(), 10)
 
         asyncio.run(scenario())
 
@@ -388,7 +453,7 @@ class TestWire:
             assert (stats["accepted"], stats["invalid"]) == (1, 1)
             server.request_shutdown()
             await server.serve_forever()
-            assert server.advisor.interner.events_seen == 1
+            assert server.advisor.events_seen == 1
 
         asyncio.run(scenario())
 
