@@ -1,17 +1,17 @@
 """The cache advisor: a sliding-window grid replay answering ``advise``.
 
-The advisor keeps the live event log as a plain list, plus the count of
-events compaction has dropped, and a candidate (policy x capacity)
-grid.  Each query replays the most recent ``window_events`` events
-through :func:`~repro.engine.stream.simulate_grid_pass` — the call the
+The advisor keeps the last ``window_events`` events of the live log,
+plus the count of events ever ingested, and a candidate (policy x
+capacity) grid.  Each query replays those events through
+:func:`~repro.engine.stream.simulate_grid_pass` — the call the
 offline bench engine makes, on the same events — so an advisor
 recommendation is bit-for-bit the offline winner for that window:
 ``simulate_grid_pass(backend, window, configs)`` offline and
 :meth:`CacheAdvisor.evaluate` return identical rows, and
 :func:`pick_winner` is the single ranking both sides share.
 
-Ingest only sorts, appends and compacts; it decodes nothing.  An
-evaluation replays a :class:`Window`, a copy of the window's events
+Ingest only sorts, checks the layout and appends; it decodes nothing.
+An evaluation replays a :class:`Window`, a copy of the window's events
 (:meth:`CacheAdvisor.snapshot`), and decodes them itself, through the
 advisor's :class:`~repro.engine.tracesim.PlanCache`, which nothing else
 touches.  So the server takes the snapshot on its event loop and
@@ -24,6 +24,7 @@ a single interned pass.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,9 +62,9 @@ def _confidence(fill: float, lead: float) -> float:
 class Window:
     """One evaluation's input: log positions ``[start, stop)`` at ``workers``.
 
-    ``events`` is a fresh copy of the log's slice, in arrival order;
-    later ingest and compaction never touch it, so the window can be
-    replayed on another thread while ingest goes on.
+    ``events`` is a fresh copy of the window's events, in arrival order;
+    later ingest never touches it, so the window can be replayed on
+    another thread while ingest goes on.
     """
 
     start: int
@@ -103,10 +104,14 @@ class CacheAdvisor:
         self.batches = 0
         self.evaluations = 0
         self.out_of_order = 0
+        #: total events ever ingested: the log position after the newest
+        self.events_seen = 0
         #: distinct blocks of the last evaluated window (0 before any)
         self.n_blocks = 0
-        self._events: list[PartialStripeError] = []  #: the retained log
-        self._dropped = 0  #: events compaction removed from the log's head
+        #: the retained log: the current window, oldest event first
+        self._events: deque[PartialStripeError] = deque(
+            maxlen=config.window_events
+        )
         #: plans for :meth:`evaluate`, and only for it
         self._plans = PlanCache(self.backend)
         self._grids: dict[int, list[ReplayConfig]] = {}
@@ -136,56 +141,35 @@ class CacheAdvisor:
     # -- the log ------------------------------------------------------------
 
     @property
-    def events_seen(self) -> int:
-        """Total events ever ingested (a stable log length across compaction)."""
-        return self._dropped + len(self._events)
-
-    @property
     def first_event(self) -> int:
         """Log position of the oldest retained event."""
-        return self._dropped
-
-    def events_slice(
-        self, start: int, stop: int | None = None
-    ) -> list[PartialStripeError]:
-        """A copy of the retained events at log positions ``[start, stop)``."""
-        lo = start - self._dropped
-        if lo < 0:
-            raise ValueError(
-                f"event {start} was compacted away (oldest retained: "
-                f"{self._dropped})"
-            )
-        hi = None if stop is None else stop - self._dropped
-        return self._events[lo:hi]
+        return self.events_seen - len(self._events)
 
     def window_bounds(self) -> tuple[int, int]:
         """Current evaluation window as ``[start, stop)`` log positions."""
-        stop = self.events_seen
-        start = max(self._dropped, stop - self.config.window_events)
-        return start, stop
+        return self.first_event, self.events_seen
 
     def window_events(self) -> list[PartialStripeError]:
-        """The events the next evaluation will replay (offline comparator)."""
-        return self.events_slice(*self.window_bounds())
+        """A copy of the events the next evaluation will replay."""
+        return list(self._events)
 
     def snapshot(self, workers: int | None = None) -> Window:
         """The current window at ``workers``, its events copied out of the log."""
         workers = self.config.workers if workers is None else workers
-        start, stop = self.window_bounds()
-        return Window(start, stop, workers, self.events_slice(start, stop))
+        return Window(*self.window_bounds(), workers, self.window_events())
 
     # -- ingest -------------------------------------------------------------
 
     def ingest(self, events: Sequence[PartialStripeError]) -> int:
         """Append one batch, sorted; returns how many events landed.
 
-        A batch older than the log's tail is counted (``out_of_order``)
-        but still appended in arrival position: window membership is
-        arrival order, and each evaluation replays its window's events
-        in time order, as the offline grid pass does.  Once the log holds
-        more than ``compact_factor`` windows, compaction drops all but
-        the last window.  Raises ``ValueError``, appending nothing, if an
-        event lies outside the served array's layout.
+        The log keeps the last ``window_events`` events, the window the
+        next evaluation replays; older events drop off its head.  A batch
+        older than the log's tail is counted (``out_of_order``) but still
+        appended in arrival position: window membership is arrival order,
+        and each evaluation replays its window's events in time order, as
+        the offline grid pass does.  Raises ``ValueError``, appending
+        nothing, if an event lies outside the served array's layout.
         """
         batch = sorted(events)
         if not batch:
@@ -198,17 +182,12 @@ class CacheAdvisor:
             self.out_of_order += 1
             if _obs.ENABLED:
                 _obs.counter("serve.ingest.out_of_order").inc()
-        log += batch
+        log.extend(batch)
+        self.events_seen += len(batch)
         self.batches += 1
-        window = self.config.window_events
-        if len(log) > self.config.compact_factor * window:
-            excess = len(log) - window
-            del log[:excess]
-            self._dropped += excess
         if _obs.ENABLED:
-            start, stop = self.window_bounds()
             _obs.counter("serve.ingest.batches").inc()
-            _obs.gauge("serve.window.events").set(stop - start)
+            _obs.gauge("serve.window.events").set(len(log))
         return len(batch)
 
     # -- evaluation ---------------------------------------------------------
@@ -338,7 +317,7 @@ class CacheAdvisor:
 
         state = {
             "fingerprint": self.config.fingerprint(),
-            "dropped": self._dropped,
+            "dropped": self.first_event,
             "batches": self.batches,
             "evaluations": self.evaluations,
             "out_of_order": self.out_of_order,
@@ -353,9 +332,9 @@ class CacheAdvisor:
 
         The retained events and the dropped count are the whole replay
         state (an evaluation decodes its window afresh), so a restored
-        advisor's next evaluation equals the pre-crash one.  Raises
-        ``ValueError`` for an event outside the served layout, as
-        :meth:`ingest` would.
+        advisor's next evaluation equals the pre-crash one; it keeps the
+        last ``window_events`` of them.  Raises ``ValueError`` for an
+        event outside the served layout, as :meth:`ingest` would.
         """
         if state.get("fingerprint") != config.fingerprint():
             raise ValueError(
@@ -366,8 +345,8 @@ class CacheAdvisor:
         events = [PartialStripeError(**r) for r in state.get("events", ())]
         for event in events:
             event.check_layout(advisor.layout)
-        advisor._events = events
-        advisor._dropped = int(state.get("dropped", 0))
+        advisor._events.extend(events)
+        advisor.events_seen = int(state.get("dropped", 0)) + len(events)
         advisor.batches = int(state.get("batches", 0))
         advisor.evaluations = int(state.get("evaluations", 0))
         advisor.out_of_order = int(state.get("out_of_order", 0))

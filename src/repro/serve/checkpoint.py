@@ -1,20 +1,20 @@
 """Durable advisor state: atomic JSON checkpoints, fingerprint-gated.
 
-A checkpoint is the advisor's retained event log plus counters and the
-deployment fingerprint, written atomically (temp file + ``os.replace``
-in the same directory) so a crash mid-write leaves the previous
-checkpoint intact.  Restoring hands the retained events and the dropped
-count to a fresh advisor — those are its whole replay state, since each
-evaluation decodes its window afresh — so the restored advisor's next
-evaluation is bit-identical to what the pre-crash process would have
-produced.
+A checkpoint is the advisor's retained event log (its current window)
+plus counters and the deployment fingerprint, written atomically (temp
+file + ``os.replace`` in the same directory) so a crash mid-write
+leaves the previous checkpoint intact.  Restoring hands the retained
+events and the dropped count to a fresh advisor — those are its whole
+replay state, since each evaluation decodes its window afresh — so the
+restored advisor's next evaluation is bit-identical to what the
+pre-crash process would have produced.
 
 The file is canonical JSON (sorted keys, no spaces), so identical state
-gives identical bytes.  Consecutive checkpoints often share much of
-their retained log, so a :class:`CheckpointWriter` keeps each retained event's
-record as JSON text between its writes and encodes only the events
-ingested since the last one; an advisor that never checkpoints encodes
-nothing.
+gives identical bytes.  Checkpoints written less than a window apart
+share part of their retained log, so a :class:`CheckpointWriter` keeps
+each retained event's record as JSON text between its writes and
+encodes only the events ingested since the last one; an advisor that
+never checkpoints encodes nothing.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ class CheckpointWriter:
 
     Each file is exactly ``_encode({"schema": CHECKPOINT_SCHEMA,
     "state": advisor.state()})``.  The writer keeps the encoded record of
-    every retained event by log position: a write drops the records that
-    compaction has passed and encodes only the events that arrived since
-    the previous write.
+    every retained event by log position: a write drops the records of
+    events that have left the log and encodes only the events that
+    arrived since the previous write.
     """
 
     def __init__(self, path: str | Path, advisor: CacheAdvisor):
@@ -84,7 +84,7 @@ class CheckpointWriter:
         first = advisor.first_event
         del self._records[: first - self._first]
         self._first = first
-        fresh = advisor.events_slice(first + len(self._records))
+        fresh = advisor.window_events()[len(self._records):]
         self._records.extend(map(_encode_record, fresh))
         fields = {
             key: _encode(value)

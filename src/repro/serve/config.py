@@ -29,10 +29,8 @@ class ServeConfig:
     the *simulated* SOR worker count; ``chunk_size`` converts MB to
     block counts).  The serving knobs bound every resource the always-on
     loop consumes: ``queue_limit`` caps the ingest queue (overflow is
-    shed and counted, never buffered), ``window_events`` caps the replay
-    window, and ``compact_factor`` caps the advisor's retained log at
-    ``compact_factor * window_events`` before compaction drops all but
-    the last window.
+    shed and counted, never buffered), and ``window_events`` caps the
+    replay window, which is all of the log the advisor retains.
     """
 
     # -- the served array ---------------------------------------------------
@@ -51,7 +49,6 @@ class ServeConfig:
     window_events: int = 192  #: sliding evaluation window (events)
     batch_events: int = 24  #: ingest batch size between evaluations
     queue_limit: int = 1024  #: bounded ingest queue; overflow is shed
-    compact_factor: int = 4  #: retained log cap, in windows
     checkpoint_path: str | None = None
     checkpoint_every: int = 8  #: batches between checkpoints (0 = final only)
 
@@ -72,11 +69,6 @@ class ServeConfig:
             raise ValueError(f"batch_events must be >= 1, got {self.batch_events}")
         if self.queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
-        if self.compact_factor < 2:
-            raise ValueError(
-                f"compact_factor must be >= 2 (the window must fit), "
-                f"got {self.compact_factor}"
-            )
         if self.checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"

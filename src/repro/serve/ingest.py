@@ -64,12 +64,12 @@ class BoundedIngestQueue:
     newest event is dropped (shed) once the queue is full, and both
     accepted and shed totals are tracked (``serve.ingest.records`` /
     ``serve.ingest.shed`` when obs is enabled).  ``wait_for_data``
-    parks the consumer until at least one event is queued.  Given a
-    ``layout``, :meth:`push_line` counts a record outside it as a bad
-    line, like any other malformed one.
+    parks the consumer until at least one event is queued.  An event
+    outside ``layout``, the served array's, is a bad line
+    (``serve.ingest.invalid``) whether it was pushed or came off the wire.
     """
 
-    def __init__(self, limit: int, layout: CodeLayout | None = None):
+    def __init__(self, limit: int, layout: CodeLayout):
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         self.limit = limit
@@ -84,7 +84,13 @@ class BoundedIngestQueue:
         return len(self._queue)
 
     def push(self, event: PartialStripeError) -> bool:
-        """Enqueue one event; returns False (and counts) when shed."""
+        """Enqueue one event; returns False (and counts) when it lies
+        outside the layout or is shed."""
+        try:
+            event.check_layout(self.layout)
+        except ValueError:
+            self.reject()
+            return False
         if len(self._queue) >= self.limit:
             self.shed += 1
             if _obs.ENABLED:
@@ -102,8 +108,6 @@ class BoundedIngestQueue:
         """Parse one wire record and enqueue it; invalid lines count."""
         try:
             event = parse_record(line)
-            if self.layout is not None:
-                event.check_layout(self.layout)
         except ValueError:
             self.reject()
             return False

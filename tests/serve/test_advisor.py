@@ -21,7 +21,6 @@ def _config(**overrides) -> ServeConfig:
         policies=("fbf", "lru", "arc"),
         window_events=48,
         batch_events=12,
-        compact_factor=2,
     )
     base.update(overrides)
     return ServeConfig(**base)
@@ -68,12 +67,12 @@ class TestAdviseMatchesOffline:
         )
 
     def test_equality_survives_compaction(self):
-        # compact_factor=2, window=48: feeding 120 events compacts twice.
+        # window=48: feeding 120 events drops the first 72 from the log.
         advisor = CacheAdvisor(_config())
         source = SyntheticSource("tip", 5, chunk=12, seed=3)
         for batch in source.batches(10):
             advisor.ingest(batch)
-        assert advisor.first_event > 0  # compaction really ran
+        assert advisor.first_event == 72  # compaction really ran
         assert advisor.evaluate() == _offline_rows(advisor)
 
     def test_out_of_order_windows_replay_in_time_order(self):

@@ -29,7 +29,6 @@ def _config(**overrides) -> ServeConfig:
         policies=("fbf", "lru"),
         window_events=36,
         batch_events=12,
-        compact_factor=2,
     )
     base.update(overrides)
     return ServeConfig(**base)
@@ -52,9 +51,7 @@ class TestRoundTrip:
         assert restored is not None
         # Identical replay state: the same retained log at the same log
         # positions, and therefore the same evaluation rows.
-        assert restored.events_slice(restored.first_event) == advisor.events_slice(
-            advisor.first_event
-        )
+        assert restored.window_events() == advisor.window_events()
         assert restored.first_event == advisor.first_event
         assert restored.events_seen == advisor.events_seen
         assert restored.batches == advisor.batches
@@ -71,15 +68,16 @@ class TestRoundTrip:
     @pytest.mark.parametrize("every", [1, 7, 42])
     def test_file_is_the_canonical_dump_of_the_state(self, tmp_path, every):
         """The writer keeps encoded records between writes; every file must
-        still be exactly the canonical dump of ``state()``, whether
-        compaction cuts into the kept records (``every`` 1 and 7) or passes
-        all of them between two writes (42), and after a restore."""
+        still be exactly the canonical dump of ``state()``, whether the
+        events leaving the log between two writes take some of the kept
+        records (``every`` 1) or all of them (7 and 42), and after a
+        restore."""
 
         def canonical(advisor):
             payload = {"schema": 1, "state": advisor.state()}
             return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-        config = _config(window_events=12)  # compacts past 24 retained events
+        config = _config(window_events=12)  # the log keeps the last 12 events
         advisor = CacheAdvisor(config)
         source = SyntheticSource("tip", 5, chunk=5, seed=13)
         writer = CheckpointWriter(tmp_path / "ckpt.json", advisor)
@@ -88,7 +86,7 @@ class TestRoundTrip:
             if i % every == 0:
                 text = writer.write().read_text(encoding="utf-8")
                 assert text == canonical(advisor)
-        assert advisor.first_event > 900  # about 80 compactions
+        assert advisor.first_event == 210 * 5 - 12
         restored = restore_advisor(config, writer.path)
         assert canonical(restored) == canonical(advisor)
         writer = CheckpointWriter(writer.path, restored)

@@ -12,6 +12,8 @@ from repro.obs import runtime
 from repro.serve import BoundedIngestQueue, parse_record
 from repro.workloads import PartialStripeError
 
+_LAYOUT = make_code("tip", 5)  # 6 disks, 4 rows
+
 
 def _record(i: int) -> str:
     return json.dumps(
@@ -54,7 +56,7 @@ class TestBoundedQueue:
         registry = runtime.enable(fresh=True)
 
         async def scenario():
-            queue = BoundedIngestQueue(limit=3)
+            queue = BoundedIngestQueue(limit=3, layout=_LAYOUT)
             outcomes = [queue.push(_event(i)) for i in range(5)]
             assert outcomes == [True, True, True, False, False]
             assert queue.accepted == 3
@@ -71,7 +73,7 @@ class TestBoundedQueue:
         registry = runtime.enable(fresh=True)
 
         async def scenario():
-            queue = BoundedIngestQueue(limit=8)
+            queue = BoundedIngestQueue(limit=8, layout=_LAYOUT)
             line = '{"time": %s, "stripe": 1, "disk": 0, "start_row": 0, "length": 1}'
             assert not queue.push_line(line % time)
             assert (queue.invalid, queue.accepted, len(queue)) == (1, 0, 0)
@@ -80,22 +82,25 @@ class TestBoundedQueue:
         assert registry.snapshot()["counters"]["serve.ingest.invalid"] == 1
 
     @pytest.mark.parametrize("fields", [{"disk": 6}, {"start_row": 3, "length": 2}])
-    def test_out_of_layout_line_counted_invalid_given_the_layout(self, fields):
+    def test_out_of_layout_event_counted_invalid(self, fields):
+        """A record outside the layout is a bad line, pushed or on the wire."""
+        registry = runtime.enable(fresh=True)
+
         async def scenario():
             edge = {"time": 1.0, "stripe": 0, "disk": 5, "start_row": 3, "length": 1}
-            line = json.dumps({**edge, **fields})
-            loose = BoundedIngestQueue(limit=8)
-            assert loose.push_line(line)
-            queue = BoundedIngestQueue(limit=8, layout=make_code("tip", 5))  # 6 disks, 4 rows
+            outside = {**edge, **fields}
+            queue = BoundedIngestQueue(limit=8, layout=_LAYOUT)
             assert queue.push_line(json.dumps(edge))  # the layout's last cell
-            assert not queue.push_line(line)
-            assert (queue.invalid, queue.accepted, len(queue)) == (1, 1, 1)
+            assert not queue.push_line(json.dumps(outside))
+            assert not queue.push(PartialStripeError(**outside))
+            assert (queue.invalid, queue.accepted, len(queue)) == (2, 1, 1)
 
         asyncio.run(scenario())
+        assert registry.snapshot()["counters"]["serve.ingest.invalid"] == 2
 
     def test_invalid_lines_counted_not_queued(self):
         async def scenario():
-            queue = BoundedIngestQueue(limit=8)
+            queue = BoundedIngestQueue(limit=8, layout=_LAYOUT)
             assert not queue.push_line("garbage")
             assert queue.push_line(_record(1))
             assert queue.invalid == 1
@@ -105,7 +110,7 @@ class TestBoundedQueue:
 
     def test_drain_is_fifo_and_bounded(self):
         async def scenario():
-            queue = BoundedIngestQueue(limit=16)
+            queue = BoundedIngestQueue(limit=16, layout=_LAYOUT)
             for i in range(6):
                 queue.push(_event(i))
             first = queue.drain(4)
@@ -117,7 +122,7 @@ class TestBoundedQueue:
 
     def test_shed_then_drain_frees_capacity(self):
         async def scenario():
-            queue = BoundedIngestQueue(limit=2)
+            queue = BoundedIngestQueue(limit=2, layout=_LAYOUT)
             queue.push(_event(0))
             queue.push(_event(1))
             assert not queue.push(_event(2))
@@ -129,7 +134,7 @@ class TestBoundedQueue:
 
     def test_wait_for_data_times_out_empty(self):
         async def scenario():
-            queue = BoundedIngestQueue(limit=2)
+            queue = BoundedIngestQueue(limit=2, layout=_LAYOUT)
             assert not await queue.wait_for_data(timeout=0.01)
             queue.push(_event(0))
             assert await queue.wait_for_data(timeout=0.01)
@@ -138,4 +143,4 @@ class TestBoundedQueue:
 
     def test_zero_limit_rejected(self):
         with pytest.raises(ValueError):
-            BoundedIngestQueue(limit=0)
+            BoundedIngestQueue(limit=0, layout=_LAYOUT)

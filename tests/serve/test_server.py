@@ -34,7 +34,6 @@ def _config(**overrides) -> ServeConfig:
         policies=("fbf", "lru"),
         window_events=36,
         batch_events=12,
-        compact_factor=2,
     )
     base.update(overrides)
     return ServeConfig(**base)
@@ -194,7 +193,7 @@ class TestEvaluationThread:
         asyncio.run(scenario())
 
     def test_compaction_mid_evaluation_leaves_its_rows_exact(self):
-        config = _config()  # window 36, compacts past 72 retained events
+        config = _config()  # the log keeps the last 36 events
 
         async def scenario():
             server = AdvisorServer(config, metrics_port=None)
@@ -212,7 +211,7 @@ class TestEvaluationThread:
                 events += batch
                 server.feed(batch)
             await _drain_until(server, 132)
-            assert server.advisor.first_event > 36  # compacted past it
+            assert server.advisor.first_event > 36  # the window left the log
             assert not advise.done()
             gate.release.set()
             answer = await asyncio.wait_for(advise, 10)
@@ -394,16 +393,18 @@ class TestWire:
 
         asyncio.run(scenario())
 
-    def test_feeding_an_out_of_layout_event_queues_nothing(self):
+    def test_a_fed_out_of_layout_event_is_one_bad_line(self):
         async def scenario():
             server = AdvisorServer(_config(), metrics_port=None)
             await server.start()
             events = SyntheticSource("tip", 5, chunk=12).next_batch()
-            with pytest.raises(ValueError, match="disk 99"):
-                server.feed(events + [replace(events[0], disk=99)])
-            assert (len(server.queue), server.queue.accepted) == (0, 0)
+            assert server.feed(events + [replace(events[0], disk=99)]) == len(events)
+            await _drain_until(server, len(events))
+            stats = server.stats()
+            assert (stats["accepted"], stats["invalid"]) == (len(events), 1)
             server.request_shutdown()
             await asyncio.wait_for(server.serve_forever(), 10)
+            assert server.advisor.events_seen == len(events)
 
         asyncio.run(scenario())
 
